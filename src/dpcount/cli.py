@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
@@ -19,7 +18,6 @@ from itertools import product
 from .cusp import c_beta
 from .gw import CACHE_ENV_VAR, GWEngine, InconsistentRelationError, UnderdeterminedError
 from .lattice import (
-    MAX_BLOWUPS,
     DivisorClass,
     SurfaceModel,
     delta,
@@ -67,8 +65,6 @@ def _fraction_str(value: Fraction) -> str:
 
 def parse_class(text: str) -> tuple[SurfaceModel, DivisorClass]:
     beta = parse_class_literal(text)
-    if beta.k > MAX_BLOWUPS:
-        raise ValueError(f"k = {beta.k} exceeds {MAX_BLOWUPS}")
     return SurfaceModel(beta.k), beta
 
 
@@ -83,7 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"persistent count cache (default: ${CACHE_ENV_VAR} if set)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored; sweeps run sequentially",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_n = sub.add_parser("nbeta", help="count of rational curves in a class")
@@ -155,37 +156,23 @@ def _cmd_cbeta(engine: GWEngine, args) -> int:
 
 
 def _cmd_table(engine: GWEngine, args) -> int:
-    if not 0 <= args.k <= MAX_BLOWUPS:
-        raise ValueError(f"k = {args.k} exceeds {MAX_BLOWUPS}")
-    classes = list(sweep_classes(args.k, args.dmax, args.mmax))
-
-    def compute(beta: DivisorClass):
+    SurfaceModel(args.k)  # rejects k outside 0..8 before the sweep
+    records = []
+    for beta in sweep_classes(args.k, args.dmax, args.mmax):
         try:
             result = c_beta(engine, beta)
         except (ValueError, InconsistentRelationError) as exc:
-            return beta, None, str(exc)
-        record = ResultRecord(
-            k=beta.k,
-            cls=format_class_literal(beta),
-            n=engine.n_beta(beta),
-            c=result.value,
-            valid=result.valid,
-        )
-        return beta, record, None
-
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = map(compute, classes)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(compute, classes))
-
-    records = []
-    for beta, record, problem in results:
-        if record is None:
-            print(f"note: skipped {beta}: {problem}", file=sys.stderr)
+            print(f"note: skipped {beta}: {exc}", file=sys.stderr)
             continue
-        records.append(record)
+        records.append(
+            ResultRecord(
+                k=beta.k,
+                cls=format_class_literal(beta),
+                n=engine.n_beta(beta),
+                c=result.value,
+                valid=result.valid,
+            )
+        )
     if args.format == "json":
         print(json.dumps([r.to_json() for r in records]))
     else:

@@ -105,6 +105,58 @@ def divisor_pool(k: int) -> tuple[DivisorClass, ...]:
     return tuple(pool)
 
 
+def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[int, ...]]:
+    """The m1 with halves (d1; m1) and (d2; m - m1) both of delta >= 0 and genus >= 0.
+
+    Needs d1, d2 >= 1.  Candidates are the box max(0, m_i - d2) <= m1_i <=
+    min(d1, m_i), so both halves have 0 <= multiplicity <= degree; they are
+    returned in lexicographic order.  With S1 = sum m1_i, Q1 = sum m1_i(m1_i - 1)
+    and Q2 the same sum over m - m1, the conditions read
+    S - 3*d2 + 1 <= S1 <= 3*d1 - 1, Q1 <= (d1-1)(d1-2) and Q2 <= (d2-1)(d2-2).
+    A depth-first walk over the coordinates cuts a branch as soon as the
+    extremes of these sums over the remaining coordinates rule it out.
+    """
+    k = len(m)
+    ranges = [range(max(0, mi - d2), min(d1, mi) + 1) for mi in m]
+    if not all(ranges):
+        return []
+    s1_min, s1_max = sum(m) - 3 * d2 + 1, 3 * d1 - 1
+    q1_max, q2_max = (d1 - 1) * (d1 - 2), (d2 - 1) * (d2 - 2)
+    # extremes of S1, Q1 and Q2 over coordinates i..k-1; x(x - 1) is
+    # increasing on x >= 0, so each minimum sits at an end of the range
+    rest_s_min, rest_s_max = [0] * (k + 1), [0] * (k + 1)
+    rest_q1_min, rest_q2_min = [0] * (k + 1), [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        lo, hi = ranges[i].start, ranges[i].stop - 1
+        rest_s_min[i] = rest_s_min[i + 1] + lo
+        rest_s_max[i] = rest_s_max[i + 1] + hi
+        rest_q1_min[i] = rest_q1_min[i + 1] + lo * (lo - 1)
+        rest_q2_min[i] = rest_q2_min[i + 1] + (m[i] - hi) * (m[i] - hi - 1)
+    found: list[tuple[int, ...]] = []
+    m1 = [0] * k
+
+    def walk(i: int, s1: int, q1: int, q2: int) -> None:
+        if i == k:
+            found.append(tuple(m1))
+            return
+        j = i + 1
+        for a in ranges[i]:
+            b = m[i] - a
+            s, p1, p2 = s1 + a, q1 + a * (a - 1), q2 + b * (b - 1)
+            if (
+                s + rest_s_min[j] > s1_max
+                or s + rest_s_max[j] < s1_min
+                or p1 + rest_q1_min[j] > q1_max
+                or p2 + rest_q2_min[j] > q2_max
+            ):
+                continue
+            m1[i] = a
+            walk(j, s, p1, p2)
+
+    walk(0, 0, 0, 0)
+    return found
+
+
 class GWEngine:
     """Memoized evaluator of the counts N over every k <= 8 surface at once.
 
@@ -158,7 +210,14 @@ class GWEngine:
     # ------------------------------------------------------------ splittings
 
     def splittings(self, beta: DivisorClass) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
-        """All ordered pairs beta1 + beta2 = beta with both halves viable."""
+        """All ordered pairs beta1 + beta2 = beta with both halves viable.
+
+        Halves of degree 0 < d1 < d come from `_viable_multiplicities`, which
+        drops only candidates with delta < 0 or genus < 0 on one side.  Those
+        are necessary conditions of `quick_vanishing` being false, and
+        `quick_vanishing` still decides every survivor, so the result is the
+        same as filtering the whole multiplicity box.
+        """
         cached = self._splittings.get(beta)
         if cached is not None:
             return cached
@@ -167,9 +226,9 @@ class GWEngine:
         halves: list[DivisorClass] = []
         halves.extend(surface.exceptional(i) for i in range(k))
         for d1 in range(1, d):
-            d2 = d - d1
-            ranges = [range(max(0, mi - d2), min(d1, mi) + 1) for mi in beta.m]
-            halves.extend(DivisorClass(d1, m1) for m1 in product(*ranges))
+            halves.extend(
+                DivisorClass(d1, m1) for m1 in _viable_multiplicities(beta.m, d1, d - d1)
+            )
         halves.extend(beta - surface.exceptional(i) for i in range(k))
         pairs = []
         for b1 in halves:
@@ -205,10 +264,11 @@ class GWEngine:
         if db < 3:
             raise ValueError(f"relation R1 needs delta >= 3, got {db} for {beta}")
         rhs = 0
+        a_beta = intersect(a, beta)
         for b1, b2, w, d1 in self._splitting_data(beta):
-            bracket = (
-                intersect(a, b1) * intersect(b, b2) * comb0(db - 3, d1 - 1)
-                - intersect(a, b2) * intersect(b, b2) * comb0(db - 3, d1 - 2)
+            a1 = intersect(a, b1)  # and a.b2 = a.beta - a1
+            bracket = intersect(b, b2) * (
+                a1 * comb0(db - 3, d1 - 1) - (a_beta - a1) * comb0(db - 3, d1 - 2)
             )
             rhs += w * bracket
         return WDVVRelation("R1", (a, b), intersect(a, b), rhs)

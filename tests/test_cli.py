@@ -86,6 +86,13 @@ class TestTable:
         assert "skipped 2;2,2" in captured.err
         assert "2;2,2" not in captured.out
 
+    @pytest.mark.parametrize("k", ["-1", "9"])
+    def test_k_out_of_range_names_range(self, capsys, k):
+        assert main(["table", "--k", k, "--dmax", "2"]) == 1
+        captured = capsys.readouterr()
+        assert f"k={k} is outside the allowed range 0..8" in captured.err
+        assert captured.out == ""
+
     def test_jobs_do_not_change_output(self, capsys):
         assert main(["--jobs", "1", "table", "--k", "2", "--dmax", "3"]) == 0
         serial = capsys.readouterr().out

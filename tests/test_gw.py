@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,27 @@ from oracles import plane_count
 
 def P(d):
     return DivisorClass(d, ())
+
+
+def box_splittings(engine, beta):
+    """Reference for `GWEngine.splittings`: the whole multiplicity box per d1, then the filter."""
+    k, d = beta.k, beta.d
+    surface = SurfaceModel(k)
+    halves = [surface.exceptional(i) for i in range(k)]
+    for d1 in range(1, d):
+        ranges = [range(max(0, mi - (d - d1)), min(d1, mi) + 1) for mi in beta.m]
+        halves.extend(DivisorClass(d1, m1) for m1 in product(*ranges))
+    halves.extend(beta - surface.exceptional(i) for i in range(k))
+    pairs = []
+    for b1 in halves:
+        b2 = beta - b1
+        if b1.is_zero() or b2.is_zero():
+            continue
+        if engine.quick_vanishing(b1) or engine.quick_vanishing(b2):
+            continue
+        pairs.append((b1, b2))
+    pairs.sort(key=lambda p: (p[0].d, p[0].m))
+    return tuple(pairs)
 
 
 class TestSeeds:
@@ -72,6 +94,27 @@ class TestSplittings:
             assert not b1.is_zero() and not b2.is_zero()
             assert not engine.quick_vanishing(b1)
             assert not engine.quick_vanishing(b2)
+
+    def test_matches_box_enumeration_small_k(self):
+        # every order, negative multiplicities and m_i > d included
+        engine = GWEngine()
+        for k in range(4):
+            for d in range(-1, 7):
+                for m in product(range(-1, d + 2), repeat=k):
+                    beta = DivisorClass(d, m)
+                    assert engine.splittings(beta) == box_splittings(engine, beta), beta
+
+    def test_matches_box_enumeration_large_k(self):
+        engine = GWEngine()
+        rng = random.Random(2015)
+        sample = [DivisorClass(8, (2,) * 6), DivisorClass(7, (3,) + (2,) * 7)]
+        while len(sample) < 14:
+            k, d = rng.randint(6, 8), rng.randint(2, 7)
+            beta = DivisorClass(d, tuple(rng.randint(0, min(d, 3)) for _ in range(k)))
+            if delta(beta) >= 1:
+                sample.append(beta)
+        for beta in sample:
+            assert engine.splittings(beta) == box_splittings(engine, beta), beta
 
 
 class TestRelationR1:
