@@ -16,13 +16,18 @@ from fractions import Fraction
 from itertools import product
 
 from .cusp import c_beta
-from .gw import CACHE_ENV_VAR, GWEngine, InconsistentRelationError, UnderdeterminedError
+from .gw import (
+    CACHE_ENV_VAR,
+    GWEngine,
+    InconsistentRelationError,
+    UnderdeterminedError,
+    seed_classes,
+)
 from .lattice import (
     DivisorClass,
     SurfaceModel,
     delta,
     format_class_literal,
-    minus_one_classes,
     parse_class_literal,
 )
 from .verify import SUITES
@@ -189,29 +194,16 @@ def _cmd_verify(engine: GWEngine, args) -> int:
 
 
 def _cmd_seeds(engine: GWEngine, args) -> int:
-    surface = SurfaceModel(args.k)
-    seeds: list[DivisorClass] = [surface.line()]
-    seeds.extend(surface.line() - surface.exceptional(i) for i in range(args.k))
-    seeds.extend(minus_one_classes(args.k))
-    if args.k == 8:
-        seeds.append(surface.anticanonical())
-    seen = []
-    for beta in seeds:
-        if beta in seen:
-            continue
-        seen.append(beta)
+    seeds = seed_classes(args.k)
     if args.format == "json":
         print(
             json.dumps(
-                [
-                    {"k": args.k, "cls": format_class_literal(b), "n": engine.seed_value(b)}
-                    for b in seen
-                ]
+                [{"k": args.k, "cls": format_class_literal(b), "n": n} for b, n in seeds.items()]
             )
         )
     else:
-        for beta in seen:
-            print(f"{args.k}\t{format_class_literal(beta)}\t{engine.seed_value(beta)}")
+        for beta, n in seeds.items():
+            print(f"{args.k}\t{format_class_literal(beta)}\t{n}")
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gw import GWEngine, InconsistentRelationError, comb0
-from .lattice import DivisorClass, delta, intersect
+from .lattice import DivisorClass, canonical_form, delta, intersect
 
 
 @dataclass
@@ -63,12 +63,21 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     if delta(beta) < 1:
         raise ValueError(f"class {beta} has delta = {delta(beta)} < 1")
     ft = first_term(engine, beta)
-    # splittings with a vanishing half contribute 0, so the filtered ordered
-    # sum agrees with the unrestricted one
-    bt = sum(
-        (splitting_term(engine, beta, b1, b2) for b1, b2 in engine.splittings(beta)),
-        Fraction(0),
-    )
+    # the boundary sum is the same for every permutation of beta, so it is
+    # kept per canonical class, and each stabiliser orbit of splittings
+    # counts once, weighted by its size; splittings with a vanishing half
+    # contribute 0, so the filtered sum agrees with the unrestricted one
+    key = canonical_form(beta)
+    bt = engine.cusp_boundary.get(key)
+    if bt is None:
+        bt = sum(
+            (
+                size * splitting_term(engine, key, b1, b2)
+                for b1, b2, size in engine.splitting_orbits(key)
+            ),
+            Fraction(0),
+        )
+        engine.cusp_boundary[key] = bt
     total = ft + bt
     if total.denominator != 1:
         raise InconsistentRelationError(
@@ -93,11 +102,3 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
         warnings.append(f"negative count {value} for {beta}; flagged for investigation")
     return CuspResult(value=value, valid=valid, first_term=ft, boundary_term=bt, warnings=warnings)
 
-
-def blowup_invariance_check(engine: GWEngine, d: int, pattern: tuple[int, ...]) -> bool:
-    """Does the count at (d; pattern of 0/1 multiplicities) match the plane count at dL?"""
-    if any(p not in (0, 1) for p in pattern):
-        raise ValueError(f"pattern {pattern} must consist of 0s and 1s")
-    blown_up = c_beta(engine, DivisorClass(d, tuple(pattern)))
-    plane = c_beta(engine, DivisorClass(d, ()))
-    return blown_up.value == plane.value

@@ -11,9 +11,13 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from types import MappingProxyType
 
 from .lattice import (
     DivisorClass,
@@ -24,7 +28,7 @@ from .lattice import (
     format_class_literal,
     intersect,
     is_exceptional,
-    minus_one_class_set,
+    minus_one_classes,
     parse_class_literal,
 )
 
@@ -105,13 +109,67 @@ def divisor_pool(k: int) -> tuple[DivisorClass, ...]:
     return tuple(pool)
 
 
+@lru_cache(maxsize=None)
+def seed_classes(k: int) -> Mapping[DivisorClass, int]:
+    """The recursion's base data on the k-point blow-up, class -> N, in listing order.
+
+    L, every L - E_i, the (-1)-classes (each E_i among them) and, at k = 8,
+    -K.  The set is closed under permutations of the m_i.
+    """
+    surface = SurfaceModel(k)
+    seeds = {surface.line(): 1}
+    for i in range(k):
+        seeds[surface.line() - surface.exceptional(i)] = 1
+    for beta in minus_one_classes(k):
+        seeds.setdefault(beta, 1)
+    if k == 8:
+        # the pencil of cubics through 8 general points has 12 rational members
+        seeds[surface.anticanonical()] = 12
+    return MappingProxyType(seeds)
+
+
+def _orbit_size(m: tuple[int, ...], m1: tuple[int, ...]) -> int:
+    """len(_orbit(m, m1)), as a product of multinomials, one per value of m."""
+    size = 1
+    for n in Counter(m).values():
+        size *= math.factorial(n)
+    for n in Counter(zip(m, m1)).values():
+        size //= math.factorial(n)
+    return size
+
+
+def _orbit(m: tuple[int, ...], m1: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every distinct tuple that arises from m1 by permuting positions that hold equal m_i."""
+    pools: dict[int, list[int]] = {}
+    for mi, a in zip(m, m1):
+        pools.setdefault(mi, []).append(a)
+    found: list[tuple[int, ...]] = []
+    row = [0] * len(m)
+
+    def fill(i: int) -> None:
+        if i == len(m):
+            found.append(tuple(row))
+            return
+        pool = pools[m[i]]
+        for a in sorted(set(pool)):
+            pool.remove(a)
+            row[i] = a
+            fill(i + 1)
+            pool.append(a)
+
+    fill(0)
+    return found
+
+
 def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[int, ...]]:
     """The m1 with halves (d1; m1) and (d2; m - m1) both of delta >= 0 and genus >= 0.
 
-    Needs d1, d2 >= 1.  Candidates are the box max(0, m_i - d2) <= m1_i <=
-    min(d1, m_i), so both halves have 0 <= multiplicity <= degree; they are
-    returned in lexicographic order.  With S1 = sum m1_i, Q1 = sum m1_i(m1_i - 1)
-    and Q2 the same sum over m - m1, the conditions read
+    One m1 per orbit of the permutations that fix m: the one whose entries
+    do not increase over the positions that hold equal m_i.  Needs d1, d2 >= 1.
+    Candidates are the box max(0, m_i - d2) <= m1_i <= min(d1, m_i), so both
+    halves have 0 <= multiplicity <= degree; they are returned in
+    lexicographic order.  With S1 = sum m1_i, Q1 = sum m1_i(m1_i - 1) and Q2
+    the same sum over m - m1, the conditions read
     S - 3*d2 + 1 <= S1 <= 3*d1 - 1, Q1 <= (d1-1)(d1-2) and Q2 <= (d2-1)(d2-2).
     A depth-first walk over the coordinates cuts a branch as soon as the
     extremes of these sums over the remaining coordinates rule it out.
@@ -132,6 +190,12 @@ def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[i
         rest_s_max[i] = rest_s_max[i + 1] + hi
         rest_q1_min[i] = rest_q1_min[i + 1] + lo * (lo - 1)
         rest_q2_min[i] = rest_q2_min[i + 1] + (m[i] - hi) * (m[i] - hi - 1)
+    # the last earlier position holding the same m_i, whose m1 caps this one
+    last: dict[int, int] = {}
+    previous = []
+    for i, mi in enumerate(m):
+        previous.append(last.get(mi))
+        last[mi] = i
     found: list[tuple[int, ...]] = []
     m1 = [0] * k
 
@@ -140,7 +204,10 @@ def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[i
             found.append(tuple(m1))
             return
         j = i + 1
-        for a in ranges[i]:
+        r = ranges[i]
+        if previous[i] is not None:
+            r = range(r.start, min(r.stop, m1[previous[i]] + 1))
+        for a in r:
             b = m[i] - a
             s, p1, p2 = s1 + a, q1 + a * (a - 1), q2 + b * (b - 1)
             if (
@@ -162,30 +229,20 @@ class GWEngine:
 
     The memo is an insert-only map keyed by canonically sorted classes;
     duplicate concurrent computation is harmless because every insert for a
-    key carries the same value.
+    key carries the same value.  So are the splitting orbits and the cusp
+    boundary sums that `cusp.c_beta` keeps in `cusp_boundary`.
     """
 
     def __init__(self):
         self._memo: dict[DivisorClass, int] = {}
-        self._splittings: dict[DivisorClass, tuple[tuple[DivisorClass, DivisorClass], ...]] = {}
+        self._orbits: dict[DivisorClass, tuple[tuple[DivisorClass, DivisorClass, int], ...]] = {}
+        self.cusp_boundary: dict[DivisorClass, Fraction] = {}
 
     # ------------------------------------------------------------------ seeds
 
     def seed_value(self, beta: DivisorClass) -> int | None:
-        """Base data: (-1)-classes, L, L - E_i, and -K on the k = 8 surface."""
-        k = beta.k
-        if beta.d == 1:
-            counts = sorted(beta.m)
-            if counts == [0] * k:  # L
-                return 1
-            if counts == [0] * (k - 1) + [1]:  # L - E_i
-                return 1
-        if beta in minus_one_class_set(k):
-            return 1
-        if k == 8 and beta == SurfaceModel(8).anticanonical():
-            # the pencil of cubics through 8 general points has 12 rational members
-            return 12
-        return None
+        """Base data from `seed_classes`: (-1)-classes, L, L - E_i, and -K on the k = 8 surface."""
+        return seed_classes(beta.k).get(beta)
 
     # --------------------------------------------------------------- filters
 
@@ -209,52 +266,74 @@ class GWEngine:
 
     # ------------------------------------------------------------ splittings
 
-    def splittings(self, beta: DivisorClass) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
-        """All ordered pairs beta1 + beta2 = beta with both halves viable.
+    def splitting_orbits(
+        self, beta: DivisorClass
+    ) -> tuple[tuple[DivisorClass, DivisorClass, int], ...]:
+        """One (beta1, beta2, orbit size) per stabiliser orbit of `splittings(beta)`.
 
-        Halves of degree 0 < d1 < d come from `_viable_multiplicities`, which
-        drops only candidates with delta < 0 or genus < 0 on one side.  Those
-        are necessary conditions of `quick_vanishing` being false, and
-        `quick_vanishing` still decides every survivor, so the result is the
-        same as filtering the whole multiplicity box.
+        The stabiliser of beta permutes positions that hold equal m_i (for a
+        canonical beta, contiguous blocks) and acts on a pair by permuting
+        both halves.  Each orbit is represented by the pair whose beta1 has
+        non-increasing entries over every such block, and weighted by the
+        number of ordered pairs in it.  Halves of degree 0 < d1 < d come from
+        `_viable_multiplicities`, which drops only candidates with delta < 0
+        or genus < 0 on one side; those are necessary conditions of
+        `quick_vanishing` being false, and `quick_vanishing`, which is
+        permutation invariant, still decides every representative.
         """
-        cached = self._splittings.get(beta)
+        cached = self._orbits.get(beta)
         if cached is not None:
             return cached
-        k, d = beta.k, beta.d
+        k, d, m = beta.k, beta.d, beta.m
         surface = SurfaceModel(k)
+        firsts = [i for i in range(k) if m[i] not in m[:i]]
         halves: list[DivisorClass] = []
-        halves.extend(surface.exceptional(i) for i in range(k))
+        halves.extend(surface.exceptional(i) for i in firsts)
         for d1 in range(1, d):
-            halves.extend(
-                DivisorClass(d1, m1) for m1 in _viable_multiplicities(beta.m, d1, d - d1)
-            )
-        halves.extend(beta - surface.exceptional(i) for i in range(k))
-        pairs = []
+            halves.extend(DivisorClass(d1, m1) for m1 in _viable_multiplicities(m, d1, d - d1))
+        halves.extend(beta - surface.exceptional(i) for i in firsts)
+        orbits = []
         for b1 in halves:
             b2 = beta - b1
             if b1.is_zero() or b2.is_zero():
                 continue
             if self.quick_vanishing(b1) or self.quick_vanishing(b2):
                 continue
-            pairs.append((b1, b2))
-        pairs.sort(key=lambda p: (p[0].d, p[0].m))
-        result = tuple(pairs)
-        self._splittings[beta] = result
+            orbits.append((b1, b2, _orbit_size(m, b1.m)))
+        result = tuple(orbits)
+        self._orbits[beta] = result
         return result
 
-    def _splitting_data(self, beta: DivisorClass):
-        """Per-pair (beta1, beta2, N1*N2*(beta1.beta2), delta(beta1)) with zeros dropped."""
+    def splittings(self, beta: DivisorClass) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
+        """All ordered pairs beta1 + beta2 = beta with both halves viable, sorted by beta1.
+
+        The orbits of `splitting_orbits`, expanded.  Low-delta relations,
+        relations with arbitrary insertions and `consistency_check` need the
+        whole list, because their probe divisors are not stabiliser invariant.
+        """
+        pairs = []
+        for b1, _, _ in self.splitting_orbits(beta):
+            for m1 in _orbit(beta.m, b1.m):
+                half = DivisorClass(b1.d, m1)
+                pairs.append((half, beta - half))
+        pairs.sort(key=lambda p: (p[0].d, p[0].m))
+        return tuple(pairs)
+
+    def _weighted_data(self, weighted_pairs):
+        """Per (beta1, beta2, count): (beta1, beta2, count*N1*N2*(beta1.beta2), delta(beta1)), zeros dropped."""
         data = []
-        for b1, b2 in self.splittings(beta):
+        for b1, b2, count in weighted_pairs:
             n1 = self.n_beta(b1)
             if n1 == 0:
                 continue
             n2 = self.n_beta(b2)
             if n2 == 0:
                 continue
-            data.append((b1, b2, n1 * n2 * intersect(b1, b2), delta(b1)))
+            data.append((b1, b2, count * n1 * n2 * intersect(b1, b2), delta(b1)))
         return data
+
+    def _splitting_data(self, beta: DivisorClass):
+        return self._weighted_data((b1, b2, 1) for b1, b2 in self.splittings(beta))
 
     # ------------------------------------------------------------- relations
 
@@ -263,9 +342,14 @@ class GWEngine:
         db = delta(beta)
         if db < 3:
             raise ValueError(f"relation R1 needs delta >= 3, got {db} for {beta}")
+        return self._relation_r1(beta, a, b, self._splitting_data(beta))
+
+    def _relation_r1(self, beta, a, b, data) -> WDVVRelation:
+        """R1 summed over `data`: the whole splitting list, or orbits when a, b are stabiliser invariant."""
+        db = delta(beta)
         rhs = 0
         a_beta = intersect(a, beta)
-        for b1, b2, w, d1 in self._splitting_data(beta):
+        for b1, b2, w, d1 in data:
             a1 = intersect(a, b1)  # and a.b2 = a.beta - a1
             bracket = intersect(b, b2) * (
                 a1 * comb0(db - 3, d1 - 1) - (a_beta - a1) * comb0(db - 3, d1 - 2)
@@ -327,8 +411,11 @@ class GWEngine:
             db = delta(key)
             if db >= 3:
                 mk = SurfaceModel(key.k).anticanonical()
-                # lhs coefficient is (-K).(-K) = 9 - k >= 1, never degenerate
-                value = self.relation_r1(key, mk, mk).solve()
+                # -K is fixed by every permutation of the m_i, so the sum runs
+                # over stabiliser orbits; the lhs coefficient is
+                # (-K).(-K) = 9 - k >= 1, never degenerate
+                data = self._weighted_data(self.splitting_orbits(key))
+                value = self._relation_r1(key, mk, mk, data).solve()
             else:
                 value = self._solve_low_delta(key)
         if value < 0:

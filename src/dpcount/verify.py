@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from .cusp import blowup_invariance_check, c_beta
+from .cusp import c_beta
 from .gw import GWEngine
 from .lattice import DivisorClass, canonical_form, cremona_image, delta
 
@@ -123,6 +123,15 @@ def symmetry_suite(
                 lines.append(f"FAIL {beta} vs {shuffled}: counts differ under permutation")
     lines.append(f"symmetry: {samples} classes x {shuffles} shuffles, {'ok' if ok else 'FAIL'}")
     return ok, lines
+
+
+def blowup_invariance_check(engine: GWEngine, d: int, pattern: tuple[int, ...]) -> bool:
+    """Does the count at (d; pattern of 0/1 multiplicities) match the plane count at dL?"""
+    if any(p not in (0, 1) for p in pattern):
+        raise ValueError(f"pattern {pattern} must consist of 0s and 1s")
+    blown_up = c_beta(engine, DivisorClass(d, tuple(pattern)))
+    plane = c_beta(engine, DivisorClass(d, ()))
+    return blown_up.value == plane.value
 
 
 def blowup_suite(

@@ -1,11 +1,13 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from dpcount.cusp import blowup_invariance_check, c_beta, first_term, splitting_term
-from dpcount.gw import InconsistentRelationError
-from dpcount.lattice import DivisorClass, delta
+import dpcount
+from dpcount.cusp import c_beta, first_term, splitting_term
+from dpcount.gw import GWEngine, InconsistentRelationError
+from dpcount.lattice import DivisorClass, delta, parse_class_literal
+from dpcount.verify import blowup_invariance_check
 from oracles import plane_cusp_count
 
 
@@ -95,6 +97,46 @@ class TestCBeta:
                     assert result.value >= 0
 
 
+class TestPermutations:
+    def test_every_permutation_matches_its_own_ordered_sum(self):
+        # the boundary term is summed once per canonical class over stabiliser
+        # orbits; each permutation must still get its own full ordered sum
+        engine = GWEngine()
+        for beta in (DivisorClass(5, (2, 1, 1, 0)), DivisorClass(6, (3, 2, 2, 1, 1))):
+            results = set()
+            for m in sorted(set(permutations(beta.m))):
+                perm = DivisorClass(beta.d, m)
+                result = c_beta(engine, perm)
+                ordered = sum(
+                    (splitting_term(engine, perm, a, b) for a, b in engine.splittings(perm)),
+                    Fraction(0),
+                )
+                assert result.boundary_term == ordered, perm
+                assert result.first_term == first_term(engine, perm), perm
+                results.add((result.value, result.first_term, result.boundary_term, result.valid))
+            assert len(results) == 1, beta
+        assert list(engine.cusp_boundary) == [
+            DivisorClass(5, (2, 1, 1, 0)),
+            DivisorClass(6, (3, 2, 2, 1, 1)),
+        ]
+
+    def test_warnings_name_the_class_passed_in(self, engine):
+        for m in permutations((2, 1, 0)):
+            result = c_beta(engine, DivisorClass(4, m))
+            shifted = ",".join(map(str, m))
+            assert not result.valid
+            assert result.warnings == [
+                f"hypothesis N(1;{shifted}) > 0 fails; the returned value is "
+                "conjectural (numerically the formula is expected to hold anyway)"
+            ]
+
+    def test_errors_name_the_class_passed_in(self, engine):
+        for literal in ("2;2,2,0", "2;0,2,2"):
+            beta = parse_class_literal(literal)
+            with pytest.raises(InconsistentRelationError, match=f"for {literal} is not"):
+                c_beta(engine, beta)
+
+
 class TestSummationConvention:
     def test_ordered_sum_is_twice_symmetrized_unordered_sum(self, engine):
         for beta in (P(4), P(5), DivisorClass(4, (2, 1, 1))):
@@ -132,6 +174,9 @@ class TestBlowupInvariance:
     def test_rejects_bad_pattern(self, engine):
         with pytest.raises(ValueError):
             blowup_invariance_check(engine, 3, (2,))
+
+    def test_exported_by_the_package(self):
+        assert dpcount.blowup_invariance_check is blowup_invariance_check
 
 
 class TestIntegralitySweep:

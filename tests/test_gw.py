@@ -40,6 +40,26 @@ def box_splittings(engine, beta):
     return tuple(pairs)
 
 
+def small_classes():
+    """Every class with k <= 3 and -1 <= d <= 6, m_i in [-1, d + 1], in every order."""
+    for k in range(4):
+        for d in range(-1, 7):
+            for m in product(range(-1, d + 2), repeat=k):
+                yield DivisorClass(d, m)
+
+
+def large_classes():
+    """Both `cold_nbeta` anchors and 12 seeded k = 6..8 classes with delta >= 1."""
+    rng = random.Random(2015)
+    sample = [DivisorClass(8, (2,) * 6), DivisorClass(7, (3,) + (2,) * 7)]
+    while len(sample) < 14:
+        k, d = rng.randint(6, 8), rng.randint(2, 7)
+        beta = DivisorClass(d, tuple(rng.randint(0, min(d, 3)) for _ in range(k)))
+        if delta(beta) >= 1:
+            sample.append(beta)
+    return sample
+
+
 class TestSeeds:
     def test_exceptional_curve(self, engine):
         assert engine.seed_value(SurfaceModel(5).exceptional(2)) == 1
@@ -98,23 +118,41 @@ class TestSplittings:
     def test_matches_box_enumeration_small_k(self):
         # every order, negative multiplicities and m_i > d included
         engine = GWEngine()
-        for k in range(4):
-            for d in range(-1, 7):
-                for m in product(range(-1, d + 2), repeat=k):
-                    beta = DivisorClass(d, m)
-                    assert engine.splittings(beta) == box_splittings(engine, beta), beta
+        for beta in small_classes():
+            assert engine.splittings(beta) == box_splittings(engine, beta), beta
 
     def test_matches_box_enumeration_large_k(self):
         engine = GWEngine()
-        rng = random.Random(2015)
-        sample = [DivisorClass(8, (2,) * 6), DivisorClass(7, (3,) + (2,) * 7)]
-        while len(sample) < 14:
-            k, d = rng.randint(6, 8), rng.randint(2, 7)
-            beta = DivisorClass(d, tuple(rng.randint(0, min(d, 3)) for _ in range(k)))
-            if delta(beta) >= 1:
-                sample.append(beta)
-        for beta in sample:
+        for beta in large_classes():
             assert engine.splittings(beta) == box_splittings(engine, beta), beta
+
+
+class TestSplittingOrbits:
+    def test_plane_quartic(self, engine):
+        assert engine.splitting_orbits(P(4)) == ((P(1), P(3), 1), (P(2), P(2), 1), (P(3), P(1), 1))
+
+    def test_weights_are_block_multinomials(self, engine):
+        # the E_i halves of 3L - E1 - ... - E4 form one orbit of size 4
+        beta = DivisorClass(3, (1, 1, 1, 1))
+        orbits = {b1: size for b1, _, size in engine.splitting_orbits(beta)}
+        assert orbits[SurfaceModel(4).exceptional(0)] == 4
+        assert orbits[DivisorClass(1, (1, 1, 0, 0))] == 6
+
+    def test_canonical_orbits_cover_the_ordered_splittings(self, engine):
+        # with -K fixed by the stabiliser, the orbit-weighted R1(-K, -K) is
+        # the relation over the whole ordered list
+        canonical = {canonical_form(b) for b in small_classes()}
+        canonical.update(canonical_form(b) for b in large_classes())
+        for beta in sorted(canonical, key=lambda b: (b.k, b.d, b.m)):
+            pairs = engine.splittings(beta)
+            orbits = engine.splitting_orbits(beta)
+            assert sum(size for _, _, size in orbits) == len(pairs), beta
+            assert {(b1, b2) for b1, b2, _ in orbits} <= set(pairs), beta
+            if delta(beta) >= 3:
+                mk = SurfaceModel(beta.k).anticanonical()
+                data = engine._weighted_data(orbits)
+                orbit_rhs = engine._relation_r1(beta, mk, mk, data).rhs
+                assert orbit_rhs == engine.relation_r1(beta, mk, mk).rhs, beta
 
 
 class TestRelationR1:

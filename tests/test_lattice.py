@@ -62,8 +62,10 @@ class TestIntersect:
         assert intersect(DivisorClass(4, (1, 1)), DivisorClass(3, (1, 1))) == 10
 
     def test_mismatched_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different surfaces: k=2 vs k=1"):
             intersect(L2, DivisorClass(1, (0,)))
+        with pytest.raises(ValueError, match="different surfaces: k=0 vs k=2"):
+            intersect(DivisorClass(1, ()), E1)
 
     @given(classes(3), classes(3))
     def test_symmetric(self, a, b):
