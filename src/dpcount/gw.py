@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 from types import MappingProxyType
 
@@ -69,28 +69,27 @@ class WDVVRelation:
             )
         return q
 
-
-@dataclass
-class RelationReport:
-    name: str
-    divisors: tuple[DivisorClass, ...]
-    lhs_coeff: int
-    implied_value: int
+    @property
+    def implied_value(self) -> Fraction | None:
+        """rhs / lhs_coeff, or None when lhs_coeff = 0 and the relation says nothing about N."""
+        return Fraction(self.rhs, self.lhs_coeff) if self.lhs_coeff else None
 
 
 @dataclass
 class ConsistencyReport:
     beta: DivisorClass
     value: int
-    relations: list[RelationReport] = field(default_factory=list)
+    relations: list[WDVVRelation] = field(default_factory=list)
     note: str = ""
 
     @property
     def consistent(self) -> bool:
-        return all(r.implied_value == self.value for r in self.relations)
+        """lhs * value = rhs for every listed relation, lhs = 0 included; on the basis tuples of
+        `GWEngine.consistency_check` every nondegenerate relation then implies `value`."""
+        return not self.disagreements()
 
-    def disagreements(self) -> list[RelationReport]:
-        return [r for r in self.relations if r.implied_value != self.value]
+    def disagreements(self) -> list[WDVVRelation]:
+        return [r for r in self.relations if r.lhs_coeff * self.value != r.rhs]
 
 
 @lru_cache(maxsize=None)
@@ -224,6 +223,82 @@ def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[i
     return found
 
 
+# relation -> (number of insertions, lowest delta(beta) at which it holds)
+RELATIONS = {"R1": (2, 3), "R2": (3, 2), "R3": (4, 1)}
+
+
+class RelationEvaluator:
+    """Both sides of R1, R2 and R3, lhs * N_beta = rhs, for one class beta.
+
+    An insertion is an index into `divisors`.  Both sides are computed from
+    intersection numbers alone: x.y and x.beta for the lhs, x.beta1 and
+    x.beta2 = x.beta - x.beta1 per splitting for the rhs.  `data` holds a
+    row (beta1, beta2, w, delta(beta1)) per splitting, from
+    `GWEngine._weighted_data`.  Both sides are multilinear in the insertions.
+    """
+
+    def __init__(self, beta: DivisorClass, divisors, data=()):
+        self.divisors = divisors = tuple(divisors)
+        self.data = data
+        self.delta = delta(beta)
+        self.pair = cache(lambda i, j: intersect(divisors[i], divisors[j]))  # on first use
+        self.on_beta = [intersect(x, beta) for x in divisors]
+        # per distinct divisor, so R1(-K, -K) intersects each beta1 with -K once
+        first = {x: [intersect(x, row[0]) for row in data] for x in dict.fromkeys(divisors)}
+        self.halves = [
+            (first[x], [xb - x1 for x1 in first[x]]) for x, xb in zip(divisors, self.on_beta)
+        ]
+        self._weights: dict[str, tuple[list[int], ...]] = {}
+
+    def weights(self, name: str) -> tuple[list[int], ...]:
+        """Per-splitting rhs coefficients of `name`: w C(D-3, d1-1) and w C(D-3, d1-2) for R1,
+        w C(D-2, d1) for R2, w C(D-1, d1) for R3, with D = delta(beta), d1 = delta(beta1)."""
+        found = self._weights.get(name)
+        if found is None:
+            n = self.delta - RELATIONS[name][1]
+            shifts = (1, 2) if name == "R1" else (0,)
+            found = self._weights[name] = tuple(
+                [w * comb0(n, d1 - shift) for _, _, w, d1 in self.data] for shift in shifts
+            )
+        return found
+
+    def lhs(self, name: str, ins: tuple[int, ...]) -> int:
+        pair, xb = self.pair, self.on_beta
+        if name == "R1":  # insertions (pt, pt, A, B)
+            return pair(*ins)
+        if name == "R2":  # insertions (A, B, C, pt)
+            a, b, c = ins
+            return pair(a, b) * xb[c] - pair(a, c) * xb[b]
+        a, b, c, d = ins  # insertions (A, B, C, D)
+        return (
+            pair(a, b) * xb[c] * xb[d]
+            + pair(c, d) * xb[a] * xb[b]
+            - pair(a, c) * xb[b] * xb[d]
+            - pair(b, d) * xb[a] * xb[c]
+        )
+
+    def rhs(self, name: str, ins: tuple[int, ...]) -> int:
+        halves, cw = self.halves, self.weights(name)
+        if name == "R1":
+            (a1, a2), (_, b2) = halves[ins[0]], halves[ins[1]]
+            return sum(y2 * (h * x1 - l * x2) for h, l, x1, x2, y2 in zip(*cw, a1, a2, b2))
+        if name == "R2":
+            (a1, _), (b1, b2), (c1, c2) = (halves[i] for i in ins)
+            return sum(
+                w * x1 * (z1 * y2 - y1 * z2)
+                for w, x1, y1, y2, z1, z2 in zip(*cw, a1, b1, b2, c1, c2)
+            )
+        (a1, _), (b1, b2), (c1, c2), (_, d2) = (halves[i] for i in ins)
+        return sum(
+            w * x1 * u2 * (z1 * y2 - y1 * z2)
+            for w, x1, y1, y2, z1, z2, u2 in zip(*cw, a1, b1, b2, c1, c2, d2)
+        )
+
+    def relation(self, name: str, ins: tuple[int, ...]) -> WDVVRelation:
+        divisors = tuple(self.divisors[i] for i in ins)
+        return WDVVRelation(name, divisors, self.lhs(name, ins), self.rhs(name, ins))
+
+
 class GWEngine:
     """Memoized evaluator of the counts N over every k <= 8 surface at once.
 
@@ -337,63 +412,36 @@ class GWEngine:
 
     # ------------------------------------------------------------- relations
 
+    def _relation(self, name: str, beta: DivisorClass, divisors) -> WDVVRelation:
+        """Relation `name` over the whole splitting list of beta; the formulas are in `RelationEvaluator`."""
+        low = RELATIONS[name][1]
+        db = delta(beta)
+        if db < low:
+            raise ValueError(f"relation {name} needs delta >= {low}, got {db} for {beta}")
+        evaluator = RelationEvaluator(beta, divisors, self._splitting_data(beta))
+        return evaluator.relation(name, tuple(range(len(divisors))))
+
     def relation_r1(self, beta: DivisorClass, a: DivisorClass, b: DivisorClass) -> WDVVRelation:
         """Insertion pattern (pt, pt, A, B); needs delta(beta) >= 3."""
-        db = delta(beta)
-        if db < 3:
-            raise ValueError(f"relation R1 needs delta >= 3, got {db} for {beta}")
-        return self._relation_r1(beta, a, b, self._splitting_data(beta))
+        return self._relation("R1", beta, (a, b))
 
     def _relation_r1(self, beta, a, b, data) -> WDVVRelation:
         """R1 summed over `data`: the whole splitting list, or orbits when a, b are stabiliser invariant."""
-        db = delta(beta)
-        rhs = 0
-        a_beta = intersect(a, beta)
-        for b1, b2, w, d1 in data:
-            a1 = intersect(a, b1)  # and a.b2 = a.beta - a1
-            bracket = intersect(b, b2) * (
-                a1 * comb0(db - 3, d1 - 1) - (a_beta - a1) * comb0(db - 3, d1 - 2)
-            )
-            rhs += w * bracket
-        return WDVVRelation("R1", (a, b), intersect(a, b), rhs)
+        return RelationEvaluator(beta, (a, b), data).relation("R1", (0, 1))
 
     def r2_coefficient(self, beta, a, b, c) -> int:
-        return intersect(a, b) * intersect(c, beta) - intersect(a, c) * intersect(b, beta)
+        return RelationEvaluator(beta, (a, b, c)).lhs("R2", (0, 1, 2))
 
     def relation_r2(self, beta, a, b, c) -> WDVVRelation:
         """Insertion pattern (A, B, C, pt); needs delta(beta) >= 2."""
-        db = delta(beta)
-        if db < 2:
-            raise ValueError(f"relation R2 needs delta >= 2, got {db} for {beta}")
-        rhs = 0
-        for b1, b2, w, d1 in self._splitting_data(beta):
-            bracket = intersect(a, b1) * (
-                intersect(c, b1) * intersect(b, b2) - intersect(b, b1) * intersect(c, b2)
-            )
-            rhs += comb0(db - 2, d1) * w * bracket
-        return WDVVRelation("R2", (a, b, c), self.r2_coefficient(beta, a, b, c), rhs)
+        return self._relation("R2", beta, (a, b, c))
 
     def r3_coefficient(self, beta, a, b, c, d) -> int:
-        return (
-            intersect(a, b) * intersect(c, beta) * intersect(d, beta)
-            + intersect(c, d) * intersect(a, beta) * intersect(b, beta)
-            - intersect(a, c) * intersect(b, beta) * intersect(d, beta)
-            - intersect(b, d) * intersect(a, beta) * intersect(c, beta)
-        )
+        return RelationEvaluator(beta, (a, b, c, d)).lhs("R3", (0, 1, 2, 3))
 
     def relation_r3(self, beta, a, b, c, d) -> WDVVRelation:
         """Insertion pattern (A, B, C, D); needs delta(beta) >= 1."""
-        db = delta(beta)
-        if db < 1:
-            raise ValueError(f"relation R3 needs delta >= 1, got {db} for {beta}")
-        rhs = 0
-        for b1, b2, w, d1 in self._splitting_data(beta):
-            bracket = (
-                intersect(a, b1) * intersect(c, b1) * intersect(b, b2) * intersect(d, b2)
-                - intersect(a, b1) * intersect(b, b1) * intersect(c, b2) * intersect(d, b2)
-            )
-            rhs += comb0(db - 1, d1) * w * bracket
-        return WDVVRelation("R3", (a, b, c, d), self.r3_coefficient(beta, a, b, c, d), rhs)
+        return self._relation("R3", beta, (a, b, c, d))
 
     # ------------------------------------------------------------ the counts
 
@@ -426,13 +474,14 @@ class GWEngine:
     def _solve_low_delta(self, beta: DivisorClass) -> int:
         db = delta(beta)
         pool = divisor_pool(beta.k)
-        if db >= 2:
-            for a, b, c in product(pool, repeat=3):
-                if self.r2_coefficient(beta, a, b, c) != 0:
-                    return self.relation_r2(beta, a, b, c).solve()
-        for a, b, c, d in product(pool, repeat=4):
-            if self.r3_coefficient(beta, a, b, c, d) != 0:
-                return self.relation_r3(beta, a, b, c, d).solve()
+        probe = RelationEvaluator(beta, pool)
+        for name, relation in (("R2", self.relation_r2), ("R3", self.relation_r3)):
+            arity, low = RELATIONS[name]
+            if db < low:
+                continue
+            for ins in product(range(len(pool)), repeat=arity):
+                if probe.lhs(name, ins) != 0:
+                    return relation(beta, *(pool[i] for i in ins)).solve()
         raise UnderdeterminedError(
             f"no nondegenerate relation in the pool for {beta} "
             f"(k={beta.k}, delta={db}); extend the seed table"
@@ -441,80 +490,29 @@ class GWEngine:
     # ------------------------------------------------------------ diagnostics
 
     def consistency_check(self, beta: DivisorClass, pool_size: int | None = None) -> ConsistencyReport:
-        """Evaluate every nondegenerate pool relation and compare the implied values."""
+        """Check lhs * N_beta = rhs, lhs = 0 included, for each relation beta's delta admits.
+
+        The insertions run over every tuple of the basis L, E_1, ..., E_k, or of
+        its first `pool_size` members (1..k+1).  Both sides are multilinear in
+        the insertions and every class is an integer combination of the basis,
+        so when all of these hold, every nondegenerate relation on any divisors,
+        `divisor_pool`'s among them, implies the engine value.  The report lists
+        the tuples that do not read 0 = 0."""
+        surface = SurfaceModel(beta.k)
+        basis = (surface.line(), *(surface.exceptional(i) for i in range(beta.k)))
+        if pool_size is not None and not 1 <= pool_size <= len(basis):
+            raise ValueError(f"pool_size {pool_size} is outside 1..{len(basis)}, the basis L, E_1..E_k")
         value = self.n_beta(beta)
-        pool = divisor_pool(beta.k)
-        if pool_size is not None:
-            pool = pool[:pool_size]
-        db = delta(beta)
-        data = self._splitting_data(beta)
+        evaluator = RelationEvaluator(beta, basis[:pool_size], self._splitting_data(beta))
         report = ConsistencyReport(beta=beta, value=value)
-
-        # intersections of each pool divisor with each splitting half, by index
-        n = len(pool)
-        s = len(data)
-        p1 = [[intersect(p, row[0]) for row in data] for p in pool]
-        p2 = [[intersect(p, row[1]) for row in data] for p in pool]
-        pb = [intersect(p, beta) for p in pool]
-        pp = [[intersect(pool[i], pool[j]) for j in range(n)] for i in range(n)]
-        w = [row[2] for row in data]
-        d1s = [row[3] for row in data]
-
-        def add(name, divisors, lhs, rhs):
-            rel = WDVVRelation(name, divisors, lhs, rhs)
-            report.relations.append(RelationReport(name, divisors, lhs, rel.solve()))
-
-        if db >= 3:
-            c_hi = [comb0(db - 3, d1 - 1) for d1 in d1s]
-            c_lo = [comb0(db - 3, d1 - 2) for d1 in d1s]
-            for ia, ib in product(range(n), repeat=2):
-                if pp[ia][ib] == 0:
-                    continue
-                rhs = sum(
-                    w[t] * p2[ib][t] * (p1[ia][t] * c_hi[t] - p2[ia][t] * c_lo[t])
-                    for t in range(s)
-                )
-                add("R1", (pool[ia], pool[ib]), pp[ia][ib], rhs)
-        if db >= 2:
-            cw = [comb0(db - 2, d1s[t]) * w[t] for t in range(s)]
-            for ia, ib, ic in product(range(n), repeat=3):
-                lhs = pp[ia][ib] * pb[ic] - pp[ia][ic] * pb[ib]
-                if lhs == 0:
-                    continue
-                rhs = sum(
-                    cw[t]
-                    * p1[ia][t]
-                    * (p1[ic][t] * p2[ib][t] - p1[ib][t] * p2[ic][t])
-                    for t in range(s)
-                )
-                add("R2", (pool[ia], pool[ib], pool[ic]), lhs, rhs)
-        if db >= 1:
-            cw = [comb0(db - 1, d1s[t]) * w[t] for t in range(s)]
-            # cache products of two half-intersections per index pair
-            prod1 = {}
-            prod2 = {}
-            for i, j in product(range(n), repeat=2):
-                prod1[i, j] = [p1[i][t] * p1[j][t] for t in range(s)]
-                prod2[i, j] = [p2[i][t] * p2[j][t] for t in range(s)]
-            for ia, ib, ic, idx in product(range(n), repeat=4):
-                lhs = (
-                    pp[ia][ib] * pb[ic] * pb[idx]
-                    + pp[ic][idx] * pb[ia] * pb[ib]
-                    - pp[ia][ic] * pb[ib] * pb[idx]
-                    - pp[ib][idx] * pb[ia] * pb[ic]
-                )
-                if lhs == 0:
-                    continue
-                left = prod1[ia, ic]
-                right = prod2[ib, idx]
-                left2 = prod1[ia, ib]
-                right2 = prod2[ic, idx]
-                rhs = sum(
-                    cw[t] * (left[t] * right[t] - left2[t] * right2[t]) for t in range(s)
-                )
-                add("R3", (pool[ia], pool[ib], pool[ic], pool[idx]), lhs, rhs)
-
-        if not report.relations:
+        for name, (arity, low) in RELATIONS.items():
+            if evaluator.delta < low:
+                continue
+            for ins in product(range(len(evaluator.divisors)), repeat=arity):
+                relation = evaluator.relation(name, ins)
+                if relation.lhs_coeff or relation.rhs:
+                    report.relations.append(relation)
+        if not any(r.lhs_coeff for r in report.relations):
             seed = self.seed_value(canonical_form(beta))
             origin = f"seed = {seed}" if seed is not None else f"filters = {value}"
             report.note = f"no applicable nondegenerate relation; value from {origin}"

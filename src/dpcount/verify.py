@@ -77,11 +77,11 @@ def consistency_suite(
     engine: GWEngine,
     samples: int = 200,
     seed: int = 0,
-    k_max: int = 4,
+    k_max: int = 8,
     delta_max: int = 10,
     pool_size: int | None = None,
 ) -> tuple[bool, list[str]]:
-    """All nondegenerate pool relations must imply the same count, class by class."""
+    """R1, R2 and R3 must hold at the engine value on every basis tuple, class by class."""
     rng = random.Random(seed)
     classes = random_classes(rng, samples, k_max=k_max, delta_max=delta_max, engine=engine)
     lines = []
@@ -93,8 +93,9 @@ def consistency_suite(
         ok = False
         for bad in report.disagreements()[:3]:
             lines.append(
-                f"FAIL {beta}: {bad.name}{tuple(str(x) for x in bad.divisors)} implies "
-                f"{bad.implied_value}, engine value {report.value}"
+                f"FAIL {beta}: {bad.name}{tuple(str(x) for x in bad.divisors)} has "
+                f"lhs {bad.lhs_coeff}, rhs {bad.rhs}; lhs * {report.value} (engine value) "
+                f"= {bad.lhs_coeff * report.value}"
             )
     lines.append(
         f"consistency: {samples} classes, "

@@ -83,6 +83,17 @@ def test_criterion_6_consistency_fuzz(engine):
     report("6 (cross-relation consistency, 200 classes)", ok, time.time() - t0, 120.0)
 
 
+def test_criterion_6_consistency_fuzz_large_k(engine):
+    # seed 1: its 200 classes include every k = 5..8 (seed 0 draws no k = 8 class)
+    sample = random_classes(random.Random(1), 200, k_max=8, delta_max=10, engine=engine)
+    assert {beta.k for beta in sample} >= {5, 6, 7, 8}
+    t0 = time.time()
+    ok, lines = consistency_suite(engine, samples=200, seed=1, k_max=8, delta_max=10)
+    for line in lines:
+        print(line)
+    report("6 (cross-relation consistency, 200 classes, k <= 8)", ok, time.time() - t0, 120.0)
+
+
 def test_criterion_7_integrality_sweep(engine):
     t0 = time.time()
     violations = 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dpcount import verify
 from dpcount.cli import ResultRecord, build_parser, main, parse_class, sweep_classes
 from dpcount.lattice import DivisorClass
 
@@ -144,6 +145,19 @@ class TestVerifyCommand:
 
     def test_blowup_suite_passes(self, capsys):
         assert main(["verify", "--suite", "blowup"]) == 0
+
+    def test_consistency_suite_samples_up_to_k_8(self, capsys, monkeypatch):
+        k_max = []
+        sample = verify.random_classes
+
+        def recording(*args, **kwargs):
+            k_max.append(kwargs["k_max"])
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "random_classes", recording)
+        assert main(["verify", "--suite", "consistency"]) == 0
+        assert capsys.readouterr().out == "consistency: 200 classes, all relations agree\n"
+        assert k_max == [8]
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

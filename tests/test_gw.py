@@ -9,9 +9,11 @@ from dpcount.gw import (
     GWEngine,
     InconsistentRelationError,
     WDVVRelation,
+    comb0,
     divisor_pool,
 )
-from dpcount.lattice import DivisorClass, SurfaceModel, canonical_form, delta
+from dpcount.lattice import DivisorClass, SurfaceModel, canonical_form, delta, intersect
+from dpcount import verify
 from oracles import plane_count
 
 
@@ -38,6 +40,87 @@ def box_splittings(engine, beta):
         pairs.append((b1, b2))
     pairs.sort(key=lambda p: (p[0].d, p[0].m))
     return tuple(pairs)
+
+
+def pool_relations(engine, beta, tuples):
+    """Reference for `GWEngine.consistency_check`: the check it replaced, over `divisor_pool`.
+
+    Returns (name, divisors, lhs, rhs) for every relation with lhs != 0 on the
+    pool index tuples that tuples(arity, pool size) yields.  Each intersection
+    number is taken directly, x.beta2 included, and the splitting data comes
+    from `splittings` and `n_beta`.
+    """
+    pool = divisor_pool(beta.k)
+    db = delta(beta)
+    data = [
+        (b1, b2, engine.n_beta(b1) * engine.n_beta(b2) * intersect(b1, b2), delta(b1))
+        for b1, b2 in engine.splittings(beta)
+    ]
+    n, s = len(pool), len(data)
+    p1 = [[intersect(p, row[0]) for row in data] for p in pool]
+    p2 = [[intersect(p, row[1]) for row in data] for p in pool]
+    pb = [intersect(p, beta) for p in pool]
+    pp = [[intersect(x, y) for y in pool] for x in pool]
+    w = [row[2] for row in data]
+    d1s = [row[3] for row in data]
+    found = []
+    if db >= 3:
+        c_hi = [comb0(db - 3, d1 - 1) for d1 in d1s]
+        c_lo = [comb0(db - 3, d1 - 2) for d1 in d1s]
+        for ia, ib in tuples(2, n):
+            if pp[ia][ib] == 0:
+                continue
+            rhs = sum(
+                w[t] * p2[ib][t] * (p1[ia][t] * c_hi[t] - p2[ia][t] * c_lo[t]) for t in range(s)
+            )
+            found.append(("R1", (pool[ia], pool[ib]), pp[ia][ib], rhs))
+    if db >= 2:
+        cw = [comb0(db - 2, d1s[t]) * w[t] for t in range(s)]
+        for ia, ib, ic in tuples(3, n):
+            lhs = pp[ia][ib] * pb[ic] - pp[ia][ic] * pb[ib]
+            if lhs == 0:
+                continue
+            rhs = sum(
+                cw[t] * p1[ia][t] * (p1[ic][t] * p2[ib][t] - p1[ib][t] * p2[ic][t])
+                for t in range(s)
+            )
+            found.append(("R2", (pool[ia], pool[ib], pool[ic]), lhs, rhs))
+    if db >= 1:
+        cw = [comb0(db - 1, d1s[t]) * w[t] for t in range(s)]
+        # products of two half-intersections per index pair
+        prod1, prod2 = {}, {}
+        for i, j in product(range(n), repeat=2):
+            prod1[i, j] = [p1[i][t] * p1[j][t] for t in range(s)]
+            prod2[i, j] = [p2[i][t] * p2[j][t] for t in range(s)]
+        for ia, ib, ic, idx in tuples(4, n):
+            lhs = (
+                pp[ia][ib] * pb[ic] * pb[idx]
+                + pp[ic][idx] * pb[ia] * pb[ib]
+                - pp[ia][ic] * pb[ib] * pb[idx]
+                - pp[ib][idx] * pb[ia] * pb[ic]
+            )
+            if lhs == 0:
+                continue
+            left, right = prod1[ia, ic], prod2[ib, idx]
+            left2, right2 = prod1[ia, ib], prod2[ic, idx]
+            rhs = sum(cw[t] * (left[t] * right[t] - left2[t] * right2[t]) for t in range(s))
+            found.append(("R3", (pool[ia], pool[ib], pool[ic], pool[idx]), lhs, rhs))
+    return found
+
+
+def every_tuple(arity, n):
+    return product(range(n), repeat=arity)
+
+
+def some_tuples(rng, count):
+    """Every tuple when there are at most `count` of them, else `count` seeded draws."""
+
+    def tuples(arity, n):
+        if n**arity <= count:
+            return every_tuple(arity, n)
+        return [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(count)]
+
+    return tuples
 
 
 def small_classes():
@@ -301,6 +384,102 @@ class TestConsistencyCheck:
         report = engine.consistency_check(DivisorClass(1, (1,)), pool_size=2)
         assert report.value == 1
         assert "seed = 1" in report.note
+
+    @pytest.mark.parametrize("pool_size", [-1, 0, 4])
+    def test_pool_size_outside_the_basis_names_the_range(self, engine, pool_size):
+        with pytest.raises(ValueError, match=r"pool_size -?\d+ is outside 1\.\.3"):
+            engine.consistency_check(DivisorClass(3, (1, 1)), pool_size=pool_size)
+
+    def test_pool_size_takes_the_first_basis_divisors(self, engine):
+        report = engine.consistency_check(DivisorClass(3, (1, 1)), pool_size=2)
+        surface = SurfaceModel(2)
+        assert {x for r in report.relations for x in r.divisors} == {
+            surface.line(),
+            surface.exceptional(0),
+        }
+
+
+class TestConsistencyReference:
+    """The basis check passes, and every nondegenerate pool relation implies the engine value."""
+
+    @staticmethod
+    def check(engine, beta, tuples):
+        report = engine.consistency_check(beta)
+        assert report.consistent, (str(beta), report.disagreements()[:3])
+        relations = pool_relations(engine, beta, tuples)
+        for name, divisors, lhs, rhs in relations:
+            assert rhs == lhs * report.value, (str(beta), name, [str(x) for x in divisors])
+        return len(relations)
+
+    def test_criterion_6_sample_every_pool_tuple(self):
+        # the 200 classes of acceptance criterion 6: seed 0, k <= 4, delta <= 10
+        engine = GWEngine()
+        classes = verify.random_classes(random.Random(0), 200, k_max=4, delta_max=10, engine=engine)
+        assert sum(self.check(engine, beta, every_tuple) for beta in classes) > 0
+
+    def test_large_k_sampled_pool_tuples(self):
+        # the whole pool has up to 46^4 R3 tuples at k = 8, so R2 and R3
+        # tuples are drawn; every R1 tuple (at most 46^2) is checked
+        engine = GWEngine()
+        rng = random.Random(58)
+        classes = []
+        while len(classes) < 12:
+            k, d = 5 + len(classes) % 4, rng.randint(1, 6)
+            beta = DivisorClass(d, tuple(rng.randint(0, d) for _ in range(k)))
+            if 1 <= delta(beta) <= 10 and not engine.quick_vanishing(canonical_form(beta)):
+                classes.append(beta)
+        tuples = some_tuples(rng, 2500)
+        assert sum(self.check(engine, beta, tuples) for beta in classes) > 0
+
+
+class TestConsistencyMutations:
+    """A poisoned engine must fail the check."""
+
+    def test_poisoned_class_value(self):
+        engine = GWEngine()
+        beta = DivisorClass(4, (1, 1))
+        engine.n_beta(beta)
+        engine._memo[canonical_form(beta)] += 1
+        report = engine.consistency_check(beta)
+        assert not report.consistent
+        # the value enters as lhs * N, so only lhs != 0 tuples can see it
+        assert all(r.lhs_coeff != 0 for r in report.disagreements())
+
+    def test_poisoned_splitting_half(self):
+        engine = GWEngine()
+        beta, half = DivisorClass(4, (1, 1)), DivisorClass(2, (1, 0))
+        assert any(b1 == half for b1, _ in engine.splittings(beta))
+        engine.n_beta(beta)
+        engine._memo[half] += 1
+        assert not engine.consistency_check(beta).consistent
+
+    def test_lhs_zero_tuple_alone_catches_a_poisoned_splitting(self):
+        # (L - E1)^2 = 0 on k = 1, so every relation on L - E1 has lhs = 0 for
+        # all insertions and only the rhs = 0 rule sees its splittings.  Admit
+        # the vanishing half L - 2E1 with N = 1, as a quick_vanishing that lost
+        # the m_i <= d rule would.
+        engine = GWEngine()
+        beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
+        engine._orbits[beta] = ((e1, bad, 1), (bad, e1, 1))
+        engine._memo[bad] = 1
+        report = engine.consistency_check(beta)
+        assert not report.consistent
+        assert report.relations and all(r.lhs_coeff == 0 for r in report.relations)
+        assert "seed = 1" in report.note
+
+    def test_suite_fail_line_prints_both_sides(self, monkeypatch):
+        engine = GWEngine()
+        beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
+        engine._orbits[beta] = ((e1, bad, 1), (bad, e1, 1))
+        engine._memo[bad] = 1
+        monkeypatch.setattr(verify, "random_classes", lambda *args, **kwargs: [beta])
+        ok, lines = verify.consistency_suite(engine, samples=1)
+        assert not ok
+        assert lines[0] == (
+            "FAIL 1;1: R3('1;0', '1;0', '0;-1', '0;-1') has lhs 0, rhs -2; "
+            "lhs * 1 (engine value) = 0"
+        )
+        assert lines[-1] == "consistency: 1 classes, DISAGREEMENTS FOUND"
 
 
 class TestDivisorPool:
