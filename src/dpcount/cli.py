@@ -225,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     if cache_path:
         for problem in engine.load_cache(cache_path):
             print(problem, file=sys.stderr)
+    known = engine.memo_size
 
     try:
         code = _COMMANDS[args.command](engine, args)
@@ -232,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if cache_path:
+    if cache_path and engine.memo_size > known:  # a pure hit leaves the file as it is
         engine.save_cache(cache_path)
     return code
 

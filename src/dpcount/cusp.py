@@ -66,7 +66,11 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     # the boundary sum is the same for every permutation of beta, so it is
     # kept per canonical class, and each stabiliser orbit of splittings
     # counts once, weighted by its size; splittings with a vanishing half
-    # contribute 0, so the filtered sum agrees with the unrestricted one
+    # contribute 0, so the filtered sum agrees with the unrestricted one.
+    # It is not keyed by the Weyl-reduced class, as N is: the formula is not
+    # invariant at the domain edge, where a class such as 2;2,2 reduces to
+    # one with a negative m_i, so a reduced key would change which table
+    # rows are skipped
     key = canonical_form(beta)
     bt = engine.cusp_boundary.get(key)
     if bt is None:

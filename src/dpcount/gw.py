@@ -2,8 +2,9 @@
 
 The counts are produced by three associativity relations of the quantum
 product (with the divisor axiom folded in), seeded with the geometrically
-obvious base values and memoized over canonically sorted classes.  All
-values are plain Python integers, so precision is unbounded.
+obvious base values and memoized per Weyl-orbit (Cremona-reduced) class,
+which is also what the persistent cache stores.  All values are plain
+Python integers, so precision is unbounded.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     arithmetic_genus,
-    canonical_form,
     delta,
     format_class_literal,
     intersect,
     is_exceptional,
     minus_one_classes,
     parse_class_literal,
+    reduced_form,
 )
 
 CACHE_ENV_VAR = "DPCOUNT_CACHE"
@@ -302,16 +303,25 @@ class RelationEvaluator:
 class GWEngine:
     """Memoized evaluator of the counts N over every k <= 8 surface at once.
 
-    The memo is an insert-only map keyed by canonically sorted classes;
-    duplicate concurrent computation is harmless because every insert for a
-    key carries the same value.  So are the splitting orbits and the cusp
-    boundary sums that `cusp.c_beta` keeps in `cusp_boundary`.
+    N is memoized per Weyl-orbit (Cremona-reduced) class, `reduced_form`:
+    N is invariant under W(E_k), so every class of an orbit shares one memo
+    entry and one set of splitting orbits, and the persistent cache stores
+    reduced classes only.  The memo is an insert-only map; duplicate
+    concurrent computation is harmless because every insert for a key
+    carries the same value.  So are the splitting orbits and the cusp
+    boundary sums that `cusp.c_beta` keeps, per canonical class, in
+    `cusp_boundary`.
     """
 
     def __init__(self):
         self._memo: dict[DivisorClass, int] = {}
         self._orbits: dict[DivisorClass, tuple[tuple[DivisorClass, DivisorClass, int], ...]] = {}
         self.cusp_boundary: dict[DivisorClass, Fraction] = {}
+
+    @property
+    def memo_size(self) -> int:
+        """Number of memoized classes; the memo only grows."""
+        return len(self._memo)
 
     # ------------------------------------------------------------------ seeds
 
@@ -351,10 +361,10 @@ class GWEngine:
         both halves.  Each orbit is represented by the pair whose beta1 has
         non-increasing entries over every such block, and weighted by the
         number of ordered pairs in it.  Halves of degree 0 < d1 < d come from
-        `_viable_multiplicities`, which drops only candidates with delta < 0
-        or genus < 0 on one side; those are necessary conditions of
-        `quick_vanishing` being false, and `quick_vanishing`, which is
-        permutation invariant, still decides every representative.
+        `_viable_multiplicities`, whose halves have 0 <= m_i <= degree,
+        delta >= 0 and genus >= 0; of `quick_vanishing` only the delta = 0
+        seed test is left to apply to them.  The E_i and beta - E_i halves
+        get the whole of `quick_vanishing`, which is permutation invariant.
         """
         cached = self._orbits.get(beta)
         if cached is not None:
@@ -362,19 +372,28 @@ class GWEngine:
         k, d, m = beta.k, beta.d, beta.m
         surface = SurfaceModel(k)
         firsts = [i for i in range(k) if m[i] not in m[:i]]
-        halves: list[DivisorClass] = []
-        halves.extend(surface.exceptional(i) for i in firsts)
-        for d1 in range(1, d):
-            halves.extend(DivisorClass(d1, m1) for m1 in _viable_multiplicities(m, d1, d - d1))
-        halves.extend(beta - surface.exceptional(i) for i in firsts)
         orbits = []
-        for b1 in halves:
+
+        def keep(b1: DivisorClass) -> None:
             b2 = beta - b1
             if b1.is_zero() or b2.is_zero():
-                continue
+                return
             if self.quick_vanishing(b1) or self.quick_vanishing(b2):
-                continue
+                return
             orbits.append((b1, b2, _orbit_size(m, b1.m)))
+
+        for i in firsts:
+            keep(surface.exceptional(i))
+        seeds = seed_classes(k)
+        for d1 in range(1, d):
+            for m1 in _viable_multiplicities(m, d1, d - d1):
+                b1 = DivisorClass(d1, m1)
+                b2 = beta - b1
+                if (delta(b1) == 0 and b1 not in seeds) or (delta(b2) == 0 and b2 not in seeds):
+                    continue
+                orbits.append((b1, b2, _orbit_size(m, m1)))
+        for i in firsts:
+            keep(beta - surface.exceptional(i))
         result = tuple(orbits)
         self._orbits[beta] = result
         return result
@@ -429,15 +448,9 @@ class GWEngine:
         """R1 summed over `data`: the whole splitting list, or orbits when a, b are stabiliser invariant."""
         return RelationEvaluator(beta, (a, b), data).relation("R1", (0, 1))
 
-    def r2_coefficient(self, beta, a, b, c) -> int:
-        return RelationEvaluator(beta, (a, b, c)).lhs("R2", (0, 1, 2))
-
     def relation_r2(self, beta, a, b, c) -> WDVVRelation:
         """Insertion pattern (A, B, C, pt); needs delta(beta) >= 2."""
         return self._relation("R2", beta, (a, b, c))
-
-    def r3_coefficient(self, beta, a, b, c, d) -> int:
-        return RelationEvaluator(beta, (a, b, c, d)).lhs("R3", (0, 1, 2, 3))
 
     def relation_r3(self, beta, a, b, c, d) -> WDVVRelation:
         """Insertion pattern (A, B, C, D); needs delta(beta) >= 1."""
@@ -446,7 +459,8 @@ class GWEngine:
     # ------------------------------------------------------------ the counts
 
     def n_beta(self, beta: DivisorClass) -> int:
-        key = canonical_form(beta)
+        """N(beta), computed and memoized once per Weyl orbit, at the key `reduced_form(beta)`."""
+        key = reduced_form(beta)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -513,7 +527,7 @@ class GWEngine:
                 if relation.lhs_coeff or relation.rhs:
                     report.relations.append(relation)
         if not any(r.lhs_coeff for r in report.relations):
-            seed = self.seed_value(canonical_form(beta))
+            seed = self.seed_value(beta)
             origin = f"seed = {seed}" if seed is not None else f"filters = {value}"
             report.note = f"no applicable nondegenerate relation; value from {origin}"
         return report
@@ -521,7 +535,12 @@ class GWEngine:
     # --------------------------------------------------------------- caching
 
     def load_cache(self, path: str | os.PathLike) -> list[str]:
-        """Merge a cache file into the memo; returns reports for skipped lines."""
+        """Merge a cache file into the memo; returns reports for skipped lines.
+
+        Each row must hold a canonical (non-increasing) class and is filed
+        under its reduced key: N is Weyl-invariant, so rows that older
+        versions wrote for unreduced classes stay valid.
+        """
         problems: list[str] = []
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -539,7 +558,7 @@ class GWEngine:
                 beta = parse_class_literal(parts[2])
                 if beta.k != k:
                     raise ValueError(f"k column {k} disagrees with literal {parts[2]}")
-                if beta != canonical_form(beta):
+                if any(a < b for a, b in zip(beta.m, beta.m[1:])):
                     raise ValueError("m entries not in canonical (non-increasing) order")
                 value = int(parts[3])
                 if value < 0:
@@ -547,11 +566,11 @@ class GWEngine:
             except ValueError as exc:
                 problems.append(f"{path}:{lineno}: skipped corrupted cache line ({exc})")
                 continue
-            self._memo[beta] = value
+            self._memo[reduced_form(beta)] = value
         return problems
 
     def save_cache(self, path: str | os.PathLike) -> None:
-        """Atomic write: temp file in the target directory, then rename."""
+        """Atomic write of the memo, one row per reduced class: temp file in the target directory, then rename."""
         path = os.fspath(path)
         directory = os.path.dirname(path) or "."
         rows = sorted(self._memo.items(), key=lambda kv: (kv[0].k, kv[0].d, kv[0].m))

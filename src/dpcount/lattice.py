@@ -26,9 +26,7 @@ class SurfaceModel:
 
     def __post_init__(self):
         if not 0 <= self.k <= MAX_BLOWUPS:
-            raise ValueError(
-                f"blow-up count k={self.k} is outside the allowed range 0..{MAX_BLOWUPS}"
-            )
+            raise _blowup_count_error(self.k)
 
     @property
     def c1_sq(self) -> int:
@@ -65,9 +63,7 @@ class DivisorClass:
     def __post_init__(self):
         object.__setattr__(self, "m", tuple(self.m))
         if len(self.m) > MAX_BLOWUPS:
-            raise ValueError(
-                f"class has {len(self.m)} exceptional coefficients; at most {MAX_BLOWUPS} allowed"
-            )
+            raise _blowup_count_error(len(self.m))
 
     @property
     def k(self) -> int:
@@ -101,6 +97,11 @@ class DivisorClass:
         return format_class_literal(self)
 
 
+def _blowup_count_error(k: int) -> ValueError:
+    """The one domain error for k outside 0..8, raised by `SurfaceModel` and `DivisorClass`."""
+    return ValueError(f"blow-up count k={k} is outside the allowed range 0..{MAX_BLOWUPS}")
+
+
 def _check_same_k(a: DivisorClass, b: DivisorClass) -> None:
     if a.k != b.k:
         raise ValueError(f"classes live on different surfaces: k={a.k} vs k={b.k}")
@@ -130,6 +131,36 @@ def arithmetic_genus(beta: DivisorClass) -> int:
 def canonical_form(beta: DivisorClass) -> DivisorClass:
     """Sort m non-increasingly; valid since blow-up points are interchangeable."""
     return DivisorClass(beta.d, tuple(sorted(beta.m, reverse=True)))
+
+
+def reduced_form(beta: DivisorClass) -> DivisorClass:
+    """The Cremona-reduced canonical class of beta, a key for its Weyl-group orbit.
+
+    W(E_k) is generated by the permutations of the E_i and the quadratic
+    transform at three blow-up points; both are isometries of the lattice
+    that fix K, and N is invariant under them.  Sort m non-increasingly; for
+    k >= 3 with every m_i >= 0, while d < m_1 + m_2 + m_3, apply the
+    transform at the three largest entries (it lowers d and those three m_i
+    by the excess m_1 + m_2 + m_3 - d) and sort again.  Stop as soon as some
+    m_i is negative: N of such a class comes from `quick_vanishing` or the
+    E_i seeds.  The loop ends because d drops at every step and W(E_k) is
+    finite for k <= 8, so the orbit holds finitely many classes.  A result
+    with every m_i >= 0 is the one class of the orbit with m non-increasing
+    and d >= m_1 + m_2 + m_3, so the whole orbit shares it.
+    """
+    d, m = beta.d, sorted(beta.m, reverse=True)
+    if len(m) >= 3 and m[-1] >= 0:
+        while (excess := m[0] + m[1] + m[2] - d) > 0:
+            d -= excess
+            m[0] -= excess
+            m[1] -= excess
+            m[2] -= excess
+            m.sort(reverse=True)
+            if m[-1] < 0:
+                break
+    m = tuple(m)
+    # an argument that is reduced already is returned as it is, not copied
+    return beta if d == beta.d and m == beta.m else DivisorClass(d, m)
 
 
 def is_exceptional(beta: DivisorClass) -> bool:
@@ -190,11 +221,6 @@ def parse_class_literal(text: str) -> DivisorClass:
         )
     d = int(match.group(1))
     m = tuple(int(part) for part in match.group(2).split(",")) if match.group(2) else ()
-    if len(m) > MAX_BLOWUPS:
-        raise ValueError(
-            f"class literal {text!r} has k = {len(m)} exceptional coefficients, "
-            f"which exceeds the bound k <= {MAX_BLOWUPS}"
-        )
     return DivisorClass(d, m)
 
 

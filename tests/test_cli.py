@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -19,7 +20,7 @@ class TestParseClass:
         assert beta == DivisorClass(3, ())
 
     def test_k9_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match=r"k=9 is outside the allowed range 0\.\.8"):
             parse_class("2;1,1,1,1,1,1,1,1,1")
 
 
@@ -35,6 +36,12 @@ class TestExitCodes:
 
     def test_success_exits_zero(self, capsys):
         assert main(["nbeta", "3;"]) == 0
+
+    def test_k9_class_names_the_range(self, capsys):
+        assert main(["nbeta", "1;0,0,0,0,0,0,0,0,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: blow-up count k=9 is outside the allowed range 0..8\n"
+        assert captured.out == ""
 
 
 class TestSingleClassCommands:
@@ -135,6 +142,33 @@ class TestCacheEnvVar:
         captured = capsys.readouterr()
         assert "skipped corrupted cache line" in captured.err
         assert captured.out == "N=1\n"
+
+    @staticmethod
+    def aged(path):
+        """Bytes and mtime of `path`, after setting its mtime back so a rewrite shows."""
+        os.utime(path, ns=(10**18, 10**18))
+        return path.read_bytes(), path.stat().st_mtime_ns
+
+    def test_pure_hit_leaves_the_file_untouched(self, capsys, tmp_path):
+        cache = tmp_path / "cache.tsv"
+        assert main(["--cache-path", str(cache), "nbeta", "5;2,1,1"]) == 0
+        before = self.aged(cache)
+        assert main(["--cache-path", str(cache), "nbeta", "5;1,2,1"]) == 0
+        assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+        assert main(["--cache-path", str(cache), "nbeta", "5;"]) == 0  # a miss
+        assert cache.stat().st_mtime_ns != before[1]
+        assert "v1\t0\t5;\t87304" in cache.read_text().splitlines()
+        assert capsys.readouterr().out == "N=18132\nN=18132\nN=87304\n"
+
+    def test_unreduced_row_of_an_older_cache_answers_from_its_reduced_key(self, capsys, tmp_path):
+        # 2;1,1,1 is canonical but not reduced: the transform at its three
+        # points maps it to L, so N is the same and no value is computed
+        cache = tmp_path / "cache.tsv"
+        cache.write_text("v1\t3\t2;1,1,1\t1\n")
+        before = self.aged(cache)
+        assert main(["--cache-path", str(cache), "nbeta", "2;1,1,1"]) == 0
+        assert capsys.readouterr() == ("N=1\n", "")
+        assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
 
 
 class TestVerifyCommand:

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +8,20 @@ from hypothesis import strategies as st
 from dpcount.gw import (
     GWEngine,
     InconsistentRelationError,
+    RelationEvaluator,
     WDVVRelation,
     comb0,
     divisor_pool,
 )
-from dpcount.lattice import DivisorClass, SurfaceModel, canonical_form, delta, intersect
+from dpcount.lattice import (
+    DivisorClass,
+    SurfaceModel,
+    canonical_form,
+    delta,
+    intersect,
+    parse_class_literal,
+    reduced_form,
+)
 from dpcount import verify
 from oracles import plane_count
 
@@ -121,6 +130,33 @@ def some_tuples(rng, count):
         return [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(count)]
 
     return tuples
+
+
+class CanonicalKeyEngine(GWEngine):
+    """Reference for the Weyl-orbit memo key: N memoized per canonical class alone.
+
+    Every class of a Weyl orbit is solved on its own, through its own
+    splitting orbits; all recursion stays in this engine.
+    """
+
+    def n_beta(self, beta):
+        key = canonical_form(beta)
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        seed = self.seed_value(key)
+        if seed is not None:
+            value = seed
+        elif self.quick_vanishing(key):
+            value = 0
+        elif delta(key) >= 3:
+            mk = SurfaceModel(key.k).anticanonical()
+            data = self._weighted_data(self.splitting_orbits(key))
+            value = self._relation_r1(key, mk, mk, data).solve()
+        else:
+            value = self._solve_low_delta(key)
+        self._memo[key] = value
+        return value
 
 
 def small_classes():
@@ -238,6 +274,31 @@ class TestSplittingOrbits:
                 assert orbit_rhs == engine.relation_r1(beta, mk, mk).rhs, beta
 
 
+class TestWeylKey:
+    def test_matches_the_canonical_key_on_every_class_up_to_degree_7(self):
+        # every canonical class with k = 3..8, d <= 7, m_i >= 0, delta >= 1
+        # that quick_vanishing does not decide; zero values included
+        engine, reference = GWEngine(), CanonicalKeyEngine()
+        classes = [
+            DivisorClass(d, m)
+            for k in range(3, 9)
+            for d in range(1, 8)
+            for m in combinations_with_replacement(range(d, -1, -1), k)
+        ]
+        classes = [b for b in classes if delta(b) >= 1 and not engine.quick_vanishing(b)]
+        assert len(classes) == 2161
+        mismatches = [str(b) for b in classes if engine.n_beta(b) != reference.n_beta(b)]
+        assert mismatches == []
+        assert sum(engine.n_beta(b) == 0 for b in classes) == 242
+
+    def test_one_memo_entry_per_orbit(self):
+        engine = GWEngine()
+        assert engine.n_beta(DivisorClass(5, (2, 2, 2, 0))) == 620
+        assert engine.n_beta(DivisorClass(4, (0, 1, 1, 1))) == 620
+        assert DivisorClass(5, (2, 2, 2, 0)) not in engine._memo
+        assert engine._memo[DivisorClass(4, (1, 1, 1, 0))] == 620
+
+
 class TestRelationR1:
     def test_conic(self, engine):
         rel = engine.relation_r1(P(2), P(1), P(1))
@@ -263,13 +324,12 @@ class TestRelationR2:
         assert (rel.lhs_coeff, rel.rhs) == (1, 1)
 
     def test_degenerate_for_proportional_divisors(self, engine):
-        assert engine.r2_coefficient(P(1), P(1), P(1), P(1)) == 0
+        assert RelationEvaluator(P(1), (P(1), P(1), P(1))).lhs("R2", (0, 1, 2)) == 0
 
     def test_coefficient_arithmetic(self, engine):
         surface = SurfaceModel(1)
-        lhs = engine.r2_coefficient(
-            DivisorClass(2, (1,)), surface.line(), surface.line(), surface.exceptional(0)
-        )
+        divisors = (surface.line(), surface.line(), surface.exceptional(0))
+        lhs = RelationEvaluator(DivisorClass(2, (1,)), divisors).lhs("R2", (0, 1, 2))
         assert lhs == 1
 
     def test_precondition(self, engine):
@@ -300,10 +360,11 @@ class TestRelationR3:
             for b in basis:
                 for c in basis:
                     for d in basis:
-                        assert engine.r3_coefficient(beta, a, b, c, d) == 0
+                        evaluator = RelationEvaluator(beta, (a, b, c, d))
+                        assert evaluator.lhs("R3", (0, 1, 2, 3)) == 0
 
     def test_degenerate_for_proportional_divisors(self, engine):
-        assert engine.r3_coefficient(P(2), P(1), P(1), P(1), P(1)) == 0
+        assert RelationEvaluator(P(2), (P(1),) * 4).lhs("R3", (0, 1, 2, 3)) == 0
 
 
 class TestNBeta:
@@ -500,6 +561,23 @@ class TestCache:
         reader = GWEngine()
         assert reader.load_cache(path) == []
         assert reader._memo[canonical_form(P(5))] == value
+
+    def test_rows_are_filed_under_their_reduced_key(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text("v1\t3\t2;1,1,1\t1\nv1\t4\t5;2,2,2,0\t620\n")
+        eng = GWEngine()
+        assert eng.load_cache(path) == []
+        assert eng._memo == {DivisorClass(1, (0, 0, 0)): 1, DivisorClass(4, (1, 1, 1, 0)): 620}
+
+    def test_saved_rows_are_reduced(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        writer = GWEngine()
+        writer.n_beta(DivisorClass(6, (3, 2, 2, 1)))
+        writer.save_cache(path)
+        rows = [line.split("\t")[2] for line in path.read_text().splitlines()]
+        assert rows and all(
+            reduced_form(parse_class_literal(row)) == parse_class_literal(row) for row in rows
+        )
 
     def test_missing_file_is_fine(self, tmp_path):
         assert GWEngine().load_cache(tmp_path / "absent.tsv") == []

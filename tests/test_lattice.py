@@ -13,6 +13,7 @@ from dpcount.lattice import (
     intersect,
     minus_one_classes,
     parse_class_literal,
+    reduced_form,
 )
 from oracles import count_minus_one_classes
 
@@ -129,6 +130,35 @@ class TestCanonicalForm:
         assert canonical_form(canonical_form(beta)) == canonical_form(beta)
 
 
+class TestReducedForm:
+    @pytest.mark.parametrize(
+        "literal, reduced",
+        [
+            ("2;1,1,1", "1;0,0,0"),  # conic through three points -> line
+            ("5;0,2,2,2", "4;1,1,1,0"),
+            ("2;1,1,1,1,1", "0;0,0,0,0,-1"),  # a (-1)-class -> E_5
+            ("1;1,1,1", "-1;-1,-1,-1"),  # stops at the first negative m_i
+            ("4;0,1,2", "4;2,1,0"),  # d >= m1 + m2 + m3: only sorted
+            ("3;1,2", "3;2,1"),  # k < 3: only sorted
+            ("3;2,-1,2", "3;2,2,-1"),  # a negative m_i: only sorted
+        ],
+    )
+    def test_examples(self, literal, reduced):
+        assert format_class_literal(reduced_form(parse_class_literal(literal))) == reduced
+
+    @given(st.integers(0, 12).flatmap(lambda d: st.builds(
+        DivisorClass, st.just(d), st.lists(st.integers(0, d), min_size=3, max_size=8).map(tuple)
+    )))
+    def test_same_invariants_and_idempotent(self, beta):
+        reduced = reduced_form(beta)
+        assert reduced_form(reduced) == reduced
+        assert reduced.self_intersection() == beta.self_intersection()
+        assert reduced.anticanonical_degree() == beta.anticanonical_degree()
+        if min(reduced.m) >= 0:
+            m = reduced.m
+            assert list(m) == sorted(m, reverse=True) and reduced.d >= m[0] + m[1] + m[2]
+
+
 class TestCremona:
     @given(classes(4))
     def test_involution(self, beta):
@@ -150,7 +180,7 @@ class TestLiterals:
         assert parse_class_literal("0;0,-1") == DivisorClass(0, (0, -1))
 
     def test_k9_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match=r"k=9 is outside the allowed range 0\.\.8"):
             parse_class_literal("2;1,1,1,1,1,1,1,1,1")
 
     @pytest.mark.parametrize("text", ["", "4", ";1", "4;1,", "a;1", "4;1, 2"])
