@@ -10,9 +10,9 @@ Python integers, so precision is unbounded.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +38,7 @@ CACHE_VERSION = "v1"
 
 
 class UnderdeterminedError(RuntimeError):
-    """Every relation in the divisor pool degenerated for a class."""
+    """Every relation on the probe divisors degenerated for a class."""
 
 
 class InconsistentRelationError(RuntimeError):
@@ -95,7 +95,7 @@ class ConsistencyReport:
 
 @lru_cache(maxsize=None)
 def divisor_pool(k: int) -> tuple[DivisorClass, ...]:
-    """Deterministic pool of probe divisors for the low-delta relations."""
+    """Deterministic pool of probe divisors; the solver no longer uses it (`_solve_low_delta`)."""
     surface = SurfaceModel(k)
     line = surface.line()
     pool = [line]
@@ -128,16 +128,6 @@ def seed_classes(k: int) -> Mapping[DivisorClass, int]:
     return MappingProxyType(seeds)
 
 
-def _orbit_size(m: tuple[int, ...], m1: tuple[int, ...]) -> int:
-    """len(_orbit(m, m1)), as a product of multinomials, one per value of m."""
-    size = 1
-    for n in Counter(m).values():
-        size *= math.factorial(n)
-    for n in Counter(zip(m, m1)).values():
-        size //= math.factorial(n)
-    return size
-
-
 def _orbit(m: tuple[int, ...], m1: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every distinct tuple that arises from m1 by permuting positions that hold equal m_i."""
     pools: dict[int, list[int]] = {}
@@ -161,8 +151,8 @@ def _orbit(m: tuple[int, ...], m1: tuple[int, ...]) -> list[tuple[int, ...]]:
     return found
 
 
-def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[int, ...]]:
-    """The m1 with halves (d1; m1) and (d2; m - m1) both of delta >= 0 and genus >= 0.
+def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[tuple[int, ...], int]]:
+    """(m1, len(_orbit(m, m1))) per m1 with halves (d1; m1), (d2; m - m1) of delta >= 0, genus >= 0.
 
     One m1 per orbit of the permutations that fix m: the one whose entries
     do not increase over the positions that hold equal m_i.  Needs d1, d2 >= 1.
@@ -196,17 +186,19 @@ def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[i
     for i, mi in enumerate(m):
         previous.append(last.get(mi))
         last[mi] = i
-    found: list[tuple[int, ...]] = []
-    m1 = [0] * k
+    rank = [m[: i + 1].count(mi) for i, mi in enumerate(m)]  # positions up to i holding m_i
+    found: list[tuple[tuple[int, ...], int]] = []
+    m1, run = [0] * k, [0] * k  # run[i]: positions up to i that hold m_i and m1[i]
 
-    def walk(i: int, s1: int, q1: int, q2: int) -> None:
+    def walk(i: int, s1: int, q1: int, q2: int, size: int) -> None:
         if i == k:
-            found.append(tuple(m1))
+            found.append((tuple(m1), size))
             return
         j = i + 1
         r = ranges[i]
-        if previous[i] is not None:
-            r = range(r.start, min(r.stop, m1[previous[i]] + 1))
+        prev = previous[i]
+        if prev is not None:
+            r = range(r.start, min(r.stop, m1[prev] + 1))
         for a in r:
             b = m[i] - a
             s, p1, p2 = s1 + a, q1 + a * (a - 1), q2 + b * (b - 1)
@@ -218,9 +210,12 @@ def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[i
             ):
                 continue
             m1[i] = a
-            walk(j, s, p1, p2)
+            run[i] = run[prev] + 1 if prev is not None and m1[prev] == a else 1
+            # the orbit size is a product of multinomials n! / (c_1! c_2! ...), one
+            # per value of m; position i multiplies its own by rank / run, exactly
+            walk(j, s, p1, p2, size * rank[i] // run[i])
 
-    walk(0, 0, 0, 0)
+    walk(0, 0, 0, 0, 1)
     return found
 
 
@@ -360,11 +355,13 @@ class GWEngine:
         canonical beta, contiguous blocks) and acts on a pair by permuting
         both halves.  Each orbit is represented by the pair whose beta1 has
         non-increasing entries over every such block, and weighted by the
-        number of ordered pairs in it.  Halves of degree 0 < d1 < d come from
-        `_viable_multiplicities`, whose halves have 0 <= m_i <= degree,
-        delta >= 0 and genus >= 0; of `quick_vanishing` only the delta = 0
-        seed test is left to apply to them.  The E_i and beta - E_i halves
-        get the whole of `quick_vanishing`, which is permutation invariant.
+        number of ordered pairs in it.  Halves of degree 0 < d1 < d come,
+        with their orbit sizes, from `_viable_multiplicities`: they have
+        0 <= m_i <= degree, delta >= 0 and genus >= 0, and no `quick_vanishing`
+        test is left, as delta = 0 means -K.h = 1 and odd h^2 = 2g - 1 >= -1,
+        so by Hodge index h is a (-1)-class or, at k = 8, -K: a seed.  The E_i
+        and beta - E_i halves get all of the permutation invariant
+        `quick_vanishing`.
         """
         cached = self._orbits.get(beta)
         if cached is not None:
@@ -374,26 +371,20 @@ class GWEngine:
         firsts = [i for i in range(k) if m[i] not in m[:i]]
         orbits = []
 
-        def keep(b1: DivisorClass) -> None:
-            b2 = beta - b1
-            if b1.is_zero() or b2.is_zero():
-                return
+        def keep(i: int, b1: DivisorClass) -> None:
+            b2 = beta - b1  # quick_vanishing holds for the zero class
             if self.quick_vanishing(b1) or self.quick_vanishing(b2):
                 return
-            orbits.append((b1, b2, _orbit_size(m, b1.m)))
+            orbits.append((b1, b2, m.count(m[i])))
 
         for i in firsts:
-            keep(surface.exceptional(i))
-        seeds = seed_classes(k)
+            keep(i, surface.exceptional(i))
         for d1 in range(1, d):
-            for m1 in _viable_multiplicities(m, d1, d - d1):
-                b1 = DivisorClass(d1, m1)
-                b2 = beta - b1
-                if (delta(b1) == 0 and b1 not in seeds) or (delta(b2) == 0 and b2 not in seeds):
-                    continue
-                orbits.append((b1, b2, _orbit_size(m, m1)))
+            for m1, size in _viable_multiplicities(m, d1, d - d1):
+                b2 = DivisorClass(d - d1, tuple(map(operator.sub, m, m1)))
+                orbits.append((DivisorClass(d1, m1), b2, size))
         for i in firsts:
-            keep(beta - surface.exceptional(i))
+            keep(i, beta - surface.exceptional(i))
         result = tuple(orbits)
         self._orbits[beta] = result
         return result
@@ -401,9 +392,8 @@ class GWEngine:
     def splittings(self, beta: DivisorClass) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
         """All ordered pairs beta1 + beta2 = beta with both halves viable, sorted by beta1.
 
-        The orbits of `splitting_orbits`, expanded.  Low-delta relations,
-        relations with arbitrary insertions and `consistency_check` need the
-        whole list, because their probe divisors are not stabiliser invariant.
+        The orbits of `splitting_orbits`, expanded, for relations whose probe
+        divisors are not stabiliser invariant, as in `consistency_check`.
         """
         pairs = []
         for b1, _, _ in self.splitting_orbits(beta):
@@ -470,8 +460,7 @@ class GWEngine:
         elif self.quick_vanishing(key):
             value = 0
         else:
-            db = delta(key)
-            if db >= 3:
+            if delta(key) >= 3:
                 mk = SurfaceModel(key.k).anticanonical()
                 # -K is fixed by every permutation of the m_i, so the sum runs
                 # over stabiliser orbits; the lhs coefficient is
@@ -486,19 +475,30 @@ class GWEngine:
         return value
 
     def _solve_low_delta(self, beta: DivisorClass) -> int:
-        db = delta(beta)
-        pool = divisor_pool(beta.k)
-        probe = RelationEvaluator(beta, pool)
-        for name, relation in (("R2", self.relation_r2), ("R3", self.relation_r3)):
+        """N of a reduced key of delta 1 or 2, by R2 or R3 over its splitting orbits.
+
+        Domain: reduced keys (`reduced_form`), neither seeds nor `quick_vanishing`;
+        d >= m_1 + m_2 + m_3 >= 3 m_4 and k <= 8 give 3d - 3 <= sum(m) <= 8d/3,
+        so d <= 9.  The probes L and one sum of E_i per value of m span the
+        divisors that beta's stabiliser fixes.  On those the orbit-weighted sum
+        is the full splitting sum, and both sides are multilinear, so if any
+        fixed tuple is nondegenerate, a basis tuple is.  Unreduced classes may
+        have none: every fixed R3 tuple on 2;1,1,1,1 is degenerate.
+        """
+        m = beta.m
+        basis = [SurfaceModel(beta.k).line()]
+        basis.extend(DivisorClass(0, tuple(-1 if a == v else 0 for a in m)) for v in dict.fromkeys(m))
+        evaluator = RelationEvaluator(beta, basis, self._weighted_data(self.splitting_orbits(beta)))
+        for name in ("R2", "R3"):
             arity, low = RELATIONS[name]
-            if db < low:
+            if evaluator.delta < low:
                 continue
-            for ins in product(range(len(pool)), repeat=arity):
-                if probe.lhs(name, ins) != 0:
-                    return relation(beta, *(pool[i] for i in ins)).solve()
+            for ins in product(range(len(basis)), repeat=arity):
+                if evaluator.lhs(name, ins) != 0:
+                    return evaluator.relation(name, ins).solve()
         raise UnderdeterminedError(
-            f"no nondegenerate relation in the pool for {beta} "
-            f"(k={beta.k}, delta={db}); extend the seed table"
+            f"no nondegenerate relation on the stabiliser-invariant basis for {beta} "
+            f"(k={beta.k}, delta={evaluator.delta}); the solve needs a reduced key"
         )
 
     # ------------------------------------------------------------ diagnostics

@@ -6,16 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcount.gw import (
+    RELATIONS,
     GWEngine,
     InconsistentRelationError,
     RelationEvaluator,
+    UnderdeterminedError,
     WDVVRelation,
+    _orbit,
     comb0,
     divisor_pool,
+    seed_classes,
 )
 from dpcount.lattice import (
     DivisorClass,
     SurfaceModel,
+    arithmetic_genus,
     canonical_form,
     delta,
     intersect,
@@ -117,6 +122,40 @@ def pool_relations(engine, beta, tuples):
     return found
 
 
+def pool_solve_low_delta(engine, beta):
+    """Reference for `GWEngine._solve_low_delta`: the solver it replaced, over `divisor_pool`.
+
+    The first pool tuple with lhs != 0, R2 before R3, solved over the whole
+    splitting list.  Unlike the basis solve it needs no reduced key: it also
+    solves classes such as 2;1,1,1,1, where every stabiliser-invariant R3
+    tuple is degenerate.
+    """
+    db = delta(beta)
+    pool = divisor_pool(beta.k)
+    probe = RelationEvaluator(beta, pool)
+    for name, relation in (("R2", engine.relation_r2), ("R3", engine.relation_r3)):
+        arity, low = RELATIONS[name]
+        if db < low:
+            continue
+        for ins in product(range(len(pool)), repeat=arity):
+            if probe.lhs(name, ins) != 0:
+                return relation(beta, *(pool[i] for i in ins)).solve()
+    raise UnderdeterminedError(f"no nondegenerate relation in the pool for {beta}")
+
+
+def canonical_with_sum(k, d, total):
+    """Every non-increasing m of length k with entries in 0..d and sum(m) = total."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for a in range(min(d, total), -1, -1):
+        if a * k < total:
+            break
+        for rest in canonical_with_sum(k - 1, a, total - a):
+            yield (a,) + rest
+
+
 def every_tuple(arity, n):
     return product(range(n), repeat=arity)
 
@@ -136,7 +175,8 @@ class CanonicalKeyEngine(GWEngine):
     """Reference for the Weyl-orbit memo key: N memoized per canonical class alone.
 
     Every class of a Weyl orbit is solved on its own, through its own
-    splitting orbits; all recursion stays in this engine.
+    splitting orbits; all recursion stays in this engine.  Its keys are not
+    reduced, so low-delta classes go to the pool reference solver.
     """
 
     def n_beta(self, beta):
@@ -154,7 +194,7 @@ class CanonicalKeyEngine(GWEngine):
             data = self._weighted_data(self.splitting_orbits(key))
             value = self._relation_r1(key, mk, mk, data).solve()
         else:
-            value = self._solve_low_delta(key)
+            value = pool_solve_low_delta(self, key)
         self._memo[key] = value
         return value
 
@@ -273,6 +313,30 @@ class TestSplittingOrbits:
                 orbit_rhs = engine._relation_r1(beta, mk, mk, data).rhs
                 assert orbit_rhs == engine.relation_r1(beta, mk, mk).rhs, beta
 
+    def test_walk_weights_are_orbit_lengths_in_any_order(self, engine):
+        # splitting_orbits is public and takes m in any order, so permuted
+        # classes are checked besides the canonical ones above
+        classes = set(small_classes()) | set(large_classes())
+        classes |= {canonical_form(b) for b in classes}
+        classes |= {DivisorClass(b.d, b.m[::-1]) for b in large_classes()}
+        for beta in classes:
+            for b1, _, size in engine.splitting_orbits(beta):
+                assert size == len(_orbit(beta.m, b1.m)), (str(beta), str(b1))
+
+    def test_delta_zero_viable_halves_are_seeds(self):
+        # why splitting_orbits skips the delta = 0 seed test on the halves of
+        # _viable_multiplicities: -K.h = 1 and genus >= 0 make h a (-1)-class
+        # or, at k = 8, -K (Hodge index theorem)
+        classes = [
+            DivisorClass(d, m)
+            for k in range(9)
+            for d in range(1, 13)
+            for m in canonical_with_sum(k, d, 3 * d - 1)
+        ]
+        classes = [b for b in classes if arithmetic_genus(b) >= 0]
+        assert len(classes) == 17
+        assert [str(b) for b in classes if b not in seed_classes(b.k)] == []
+
 
 class TestWeylKey:
     def test_matches_the_canonical_key_on_every_class_up_to_degree_7(self):
@@ -297,6 +361,49 @@ class TestWeylKey:
         assert engine.n_beta(DivisorClass(4, (0, 1, 1, 1))) == 620
         assert DivisorClass(5, (2, 2, 2, 0)) not in engine._memo
         assert engine._memo[DivisorClass(4, (1, 1, 1, 0))] == 620
+
+
+# every reduced key with k <= 8, d <= 12 and delta 1 or 2 that is neither a
+# seed nor quick_vanishing, and its N
+LOW_DELTA_KEYS = {
+    "3;1,1,1,1,1,1": 12,
+    "3;1,1,1,1,1,1,0": 12,
+    "3;1,1,1,1,1,1,0,0": 12,
+    "3;1,1,1,1,1,1,1": 12,
+    "3;1,1,1,1,1,1,1,0": 12,
+    "4;2,1,1,1,1,1,1,1": 96,
+    "6;2,2,2,2,2,2,2,1": 576,
+    "6;2,2,2,2,2,2,2,2": 90,
+    "9;3,3,3,3,3,3,3,3": 2880,
+}
+
+
+class TestLowDelta:
+    def test_every_reduced_key_solves_on_the_invariant_basis(self):
+        engine, reference = GWEngine(), CanonicalKeyEngine()
+        keys = [
+            DivisorClass(d, m)
+            for k in range(9)
+            for d in range(1, 13)
+            for total in (3 * d - 2, 3 * d - 3)
+            for m in canonical_with_sum(k, d, total)
+        ]
+        keys = [
+            b
+            for b in keys
+            if reduced_form(b) == b and engine.seed_value(b) is None and not engine.quick_vanishing(b)
+        ]
+        # _solve_low_delta raises UnderdeterminedError when no basis tuple is nondegenerate
+        assert {str(b): engine._solve_low_delta(b) for b in keys} == LOW_DELTA_KEYS
+        assert {str(b): pool_solve_low_delta(reference, b) for b in keys} == LOW_DELTA_KEYS
+        assert all(engine.n_beta(b) == LOW_DELTA_KEYS[str(b)] for b in keys)
+
+    def test_unreduced_class_has_no_invariant_relation(self):
+        engine = GWEngine()
+        beta = DivisorClass(2, (1, 1, 1, 1))
+        with pytest.raises(UnderdeterminedError, match="2;1,1,1,1"):
+            engine._solve_low_delta(beta)
+        assert pool_solve_low_delta(engine, beta) == engine.n_beta(beta) == 1
 
 
 class TestRelationR1:
