@@ -67,6 +67,8 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     # kept per canonical class, and each stabiliser orbit of splittings
     # counts once, weighted by its size; splittings with a vanishing half
     # contribute 0, so the filtered sum agrees with the unrestricted one.
+    # An orbit listed with its swap counts twice: splitting_term is symmetric,
+    # as delta1 + delta2 = delta - 1 gives C(delta-1, delta1) = C(delta-1, delta2).
     # It is not keyed by the Weyl-reduced class, as N is: the formula is not
     # invariant at the domain edge, where a class such as 2;2,2 reduces to
     # one with a negative m_i, so a reduced key would change which table
@@ -76,8 +78,8 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     if bt is None:
         bt = sum(
             (
-                size * splitting_term(engine, key, b1, b2)
-                for b1, b2, size in engine.splitting_orbits(key)
+                (2 * size if swap else size) * splitting_term(engine, key, b1, b2)
+                for b1, b2, size, swap in engine.splitting_orbits(key)
             ),
             Fraction(0),
         )

@@ -228,9 +228,9 @@ class RelationEvaluator:
 
     An insertion is an index into `divisors`.  Both sides are computed from
     intersection numbers alone: x.y and x.beta for the lhs, x.beta1 and
-    x.beta2 = x.beta - x.beta1 per splitting for the rhs.  `data` holds a
-    row (beta1, beta2, w, delta(beta1)) per splitting, from
-    `GWEngine._weighted_data`.  Both sides are multilinear in the insertions.
+    x.beta2 = x.beta - x.beta1 per splitting for the rhs.  `data` holds a row
+    (beta1, beta2, w, delta(beta1)) per ordered splitting or orbit, two per
+    unordered orbit (`GWEngine._weighted_data`).  Both sides are multilinear.
     """
 
     def __init__(self, beta: DivisorClass, divisors, data=()):
@@ -310,7 +310,7 @@ class GWEngine:
 
     def __init__(self):
         self._memo: dict[DivisorClass, int] = {}
-        self._orbits: dict[DivisorClass, tuple[tuple[DivisorClass, DivisorClass, int], ...]] = {}
+        self._orbits: dict[DivisorClass, tuple[tuple[DivisorClass, DivisorClass, int, bool], ...]] = {}
         self.cusp_boundary: dict[DivisorClass, Fraction] = {}
 
     @property
@@ -348,43 +348,36 @@ class GWEngine:
 
     def splitting_orbits(
         self, beta: DivisorClass
-    ) -> tuple[tuple[DivisorClass, DivisorClass, int], ...]:
-        """One (beta1, beta2, orbit size) per stabiliser orbit of `splittings(beta)`.
+    ) -> tuple[tuple[DivisorClass, DivisorClass, int, bool], ...]:
+        """(beta1, beta2, orbit size, swap) per unordered stabiliser orbit of `splittings(beta)`.
 
-        The stabiliser of beta permutes positions that hold equal m_i (for a
-        canonical beta, contiguous blocks) and acts on a pair by permuting
-        both halves.  Each orbit is represented by the pair whose beta1 has
-        non-increasing entries over every such block, and weighted by the
-        number of ordered pairs in it.  Halves of degree 0 < d1 < d come,
-        with their orbit sizes, from `_viable_multiplicities`: they have
-        0 <= m_i <= degree, delta >= 0 and genus >= 0, and no `quick_vanishing`
+        The stabiliser of beta permutes positions that hold equal m_i and acts
+        on a pair by permuting both halves.  An orbit is represented by the
+        pair whose beta1 has non-increasing entries over every such block, and
+        weighted by its number of ordered pairs.  `swap` says that the swapped
+        orbit (beta2, beta1), of the same size, stands here too: so for the
+        E_i halves (at d = 0 as well, where beta - E_i is enumerated apart)
+        and for degrees 0 < d1 < d/2; at d1 = d/2 each orbit is listed itself.
+        Halves of degree d1 >= 1 come from `_viable_multiplicities`, with
+        0 <= m_i <= degree, delta >= 0 and genus >= 0; no `quick_vanishing`
         test is left, as delta = 0 means -K.h = 1 and odd h^2 = 2g - 1 >= -1,
-        so by Hodge index h is a (-1)-class or, at k = 8, -K: a seed.  The E_i
-        and beta - E_i halves get all of the permutation invariant
-        `quick_vanishing`.
+        so by Hodge index h is a (-1)-class or, at k = 8, -K: a seed.
         """
         cached = self._orbits.get(beta)
         if cached is not None:
             return cached
         k, d, m = beta.k, beta.d, beta.m
         surface = SurfaceModel(k)
-        firsts = [i for i in range(k) if m[i] not in m[:i]]
         orbits = []
-
-        def keep(i: int, b1: DivisorClass) -> None:
+        for i in (i for i in range(k) if m[i] not in m[:i]):
+            b1 = surface.exceptional(i)
             b2 = beta - b1  # quick_vanishing holds for the zero class
-            if self.quick_vanishing(b1) or self.quick_vanishing(b2):
-                return
-            orbits.append((b1, b2, m.count(m[i])))
-
-        for i in firsts:
-            keep(i, surface.exceptional(i))
-        for d1 in range(1, d):
+            if not (self.quick_vanishing(b1) or self.quick_vanishing(b2)):
+                orbits.append((b1, b2, m.count(m[i]), True))
+        for d1 in range(1, d // 2 + 1):
             for m1, size in _viable_multiplicities(m, d1, d - d1):
                 b2 = DivisorClass(d - d1, tuple(map(operator.sub, m, m1)))
-                orbits.append((DivisorClass(d1, m1), b2, size))
-        for i in firsts:
-            keep(i, beta - surface.exceptional(i))
+                orbits.append((DivisorClass(d1, m1), b2, size, 2 * d1 < d))
         result = tuple(orbits)
         self._orbits[beta] = result
         return result
@@ -392,32 +385,36 @@ class GWEngine:
     def splittings(self, beta: DivisorClass) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
         """All ordered pairs beta1 + beta2 = beta with both halves viable, sorted by beta1.
 
-        The orbits of `splitting_orbits`, expanded, for relations whose probe
-        divisors are not stabiliser invariant, as in `consistency_check`.
-        """
+        The orbits of `splitting_orbits` and their swaps, expanded, for probe
+        divisors that are not stabiliser invariant, as in `consistency_check`."""
         pairs = []
-        for b1, _, _ in self.splitting_orbits(beta):
-            for m1 in _orbit(beta.m, b1.m):
-                half = DivisorClass(b1.d, m1)
-                pairs.append((half, beta - half))
+        for b1, b2, _, swap in self.splitting_orbits(beta):
+            for half in (b1, b2) if swap else (b1,):
+                for m1 in _orbit(beta.m, half.m):
+                    h = DivisorClass(half.d, m1)
+                    pairs.append((h, beta - h))
         pairs.sort(key=lambda p: (p[0].d, p[0].m))
         return tuple(pairs)
 
-    def _weighted_data(self, weighted_pairs):
-        """Per (beta1, beta2, count): (beta1, beta2, count*N1*N2*(beta1.beta2), delta(beta1)), zeros dropped."""
+    def _weighted_data(self, orbits):
+        """Per (beta1, beta2, size, swap): (beta1, beta2, size*N1*N2*(beta1.beta2), delta(beta1)),
+        then, with `swap`, the same for (beta2, beta1); zeros dropped."""
         data = []
-        for b1, b2, count in weighted_pairs:
+        for b1, b2, size, swap in orbits:
             n1 = self.n_beta(b1)
             if n1 == 0:
                 continue
             n2 = self.n_beta(b2)
             if n2 == 0:
                 continue
-            data.append((b1, b2, count * n1 * n2 * intersect(b1, b2), delta(b1)))
+            w = size * n1 * n2 * intersect(b1, b2)
+            data.append((b1, b2, w, delta(b1)))
+            if swap:
+                data.append((b2, b1, w, delta(b2)))
         return data
 
     def _splitting_data(self, beta: DivisorClass):
-        return self._weighted_data((b1, b2, 1) for b1, b2 in self.splittings(beta))
+        return self._weighted_data((b1, b2, 1, False) for b1, b2 in self.splittings(beta))
 
     # ------------------------------------------------------------- relations
 
@@ -523,9 +520,10 @@ class GWEngine:
             if evaluator.delta < low:
                 continue
             for ins in product(range(len(evaluator.divisors)), repeat=arity):
-                relation = evaluator.relation(name, ins)
-                if relation.lhs_coeff or relation.rhs:
-                    report.relations.append(relation)
+                lhs, rhs = evaluator.lhs(name, ins), evaluator.rhs(name, ins)
+                if lhs or rhs:  # tuples that read 0 = 0 get no WDVVRelation
+                    divisors = tuple(evaluator.divisors[i] for i in ins)
+                    report.relations.append(WDVVRelation(name, divisors, lhs, rhs))
         if not any(r.lhs_coeff for r in report.relations):
             seed = self.seed_value(beta)
             origin = f"seed = {seed}" if seed is not None else f"filters = {value}"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -288,25 +289,37 @@ class TestSplittings:
 
 class TestSplittingOrbits:
     def test_plane_quartic(self, engine):
-        assert engine.splitting_orbits(P(4)) == ((P(1), P(3), 1), (P(2), P(2), 1), (P(3), P(1), 1))
+        # (3L, L) is the swap of (L, 3L); (2L, 2L) is its own
+        assert engine.splitting_orbits(P(4)) == ((P(1), P(3), 1, True), (P(2), P(2), 1, False))
 
     def test_weights_are_block_multinomials(self, engine):
         # the E_i halves of 3L - E1 - ... - E4 form one orbit of size 4
         beta = DivisorClass(3, (1, 1, 1, 1))
-        orbits = {b1: size for b1, _, size in engine.splitting_orbits(beta)}
+        orbits = {b1: size for b1, _, size, _ in engine.splitting_orbits(beta)}
         assert orbits[SurfaceModel(4).exceptional(0)] == 4
         assert orbits[DivisorClass(1, (1, 1, 0, 0))] == 6
 
     def test_canonical_orbits_cover_the_ordered_splittings(self, engine):
-        # with -K fixed by the stabiliser, the orbit-weighted R1(-K, -K) is
-        # the relation over the whole ordered list
+        # each listed orbit, and its swap when flagged, expands to exactly
+        # the ordered pairs of splittings(beta), each once (the d = 0 halves
+        # E_i and beta - E_i are enumerated apart, as in box_splittings); with
+        # -K fixed by the stabiliser, the orbit-weighted R1(-K, -K) is the
+        # relation over the whole ordered list
         canonical = {canonical_form(b) for b in small_classes()}
         canonical.update(canonical_form(b) for b in large_classes())
         for beta in sorted(canonical, key=lambda b: (b.k, b.d, b.m)):
             pairs = engine.splittings(beta)
             orbits = engine.splitting_orbits(beta)
-            assert sum(size for _, _, size in orbits) == len(pairs), beta
-            assert {(b1, b2) for b1, b2, _ in orbits} <= set(pairs), beta
+            expanded = Counter()
+            for b1, b2, size, swap in orbits:
+                assert (b1, b2) in pairs and (not swap or (b2, b1) in pairs), beta
+                for half in (b1, b2) if swap else (b1,):
+                    members = _orbit(beta.m, half.m)
+                    assert len(members) == size, (str(beta), str(half))
+                    expanded.update((half.d, m1) for m1 in members)
+            assert expanded == Counter((b1.d, b1.m) for b1, _ in pairs), beta
+            if beta.d != 0:
+                assert len(set(pairs)) == len(pairs), beta
             if delta(beta) >= 3:
                 mk = SurfaceModel(beta.k).anticanonical()
                 data = engine._weighted_data(orbits)
@@ -320,7 +333,7 @@ class TestSplittingOrbits:
         classes |= {canonical_form(b) for b in classes}
         classes |= {DivisorClass(b.d, b.m[::-1]) for b in large_classes()}
         for beta in classes:
-            for b1, _, size in engine.splitting_orbits(beta):
+            for b1, _, size, _ in engine.splitting_orbits(beta):
                 assert size == len(_orbit(beta.m, b1.m)), (str(beta), str(b1))
 
     def test_delta_zero_viable_halves_are_seeds(self):
@@ -628,7 +641,7 @@ class TestConsistencyMutations:
         # the m_i <= d rule would.
         engine = GWEngine()
         beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
-        engine._orbits[beta] = ((e1, bad, 1), (bad, e1, 1))
+        engine._orbits[beta] = ((e1, bad, 1, True),)
         engine._memo[bad] = 1
         report = engine.consistency_check(beta)
         assert not report.consistent
@@ -638,7 +651,7 @@ class TestConsistencyMutations:
     def test_suite_fail_line_prints_both_sides(self, monkeypatch):
         engine = GWEngine()
         beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
-        engine._orbits[beta] = ((e1, bad, 1), (bad, e1, 1))
+        engine._orbits[beta] = ((e1, bad, 1, True),)
         engine._memo[bad] = 1
         monkeypatch.setattr(verify, "random_classes", lambda *args, **kwargs: [beta])
         ok, lines = verify.consistency_suite(engine, samples=1)

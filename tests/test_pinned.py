@@ -1,0 +1,64 @@
+"""Digests of N and C over every small canonical class, pinned.
+
+The digests were recorded with the engine that still enumerated both orders
+of every splitting through the walk, before `splitting_orbits` listed each
+unordered orbit once.  Unlike `CanonicalKeyEngine`, they share no code with
+the engine under test, so an orbit that is dropped, doubled or mis-weighted
+shows here.
+"""
+
+import hashlib
+from itertools import combinations_with_replacement
+
+import pytest
+
+from dpcount.cusp import c_beta
+from dpcount.gw import GWEngine, InconsistentRelationError
+from dpcount.lattice import DivisorClass, delta
+
+
+@pytest.fixture(scope="module")
+def pinned_engine():
+    """One engine for both digests: the C sweep reuses the N memo."""
+    return GWEngine()
+
+
+def canonical_classes(k_max, degrees):
+    """Every canonical class (d; m) with m non-increasing in d..0, k = 0..k_max, d in degrees(k)."""
+    for k in range(k_max + 1):
+        for d in degrees(k):
+            for m in combinations_with_replacement(range(d, -1, -1), k):
+                yield DivisorClass(d, m)
+
+
+def digest(lines):
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def test_n_digest_over_every_canonical_class(pinned_engine):
+    # k = 0..8, d = 0..8 for k <= 6 and d = 0..7 for k = 7, 8, delta >= -1
+    classes = [
+        b
+        for b in canonical_classes(8, lambda k: range(9 if k <= 6 else 8))
+        if delta(b) >= -1
+    ]
+    lines = [f"{b}={pinned_engine.n_beta(b)}\n" for b in classes]
+    assert len(lines) == 12622
+    assert digest(lines) == "6b621a0e92d9825ac8b09fe6ebd35869e1e1e07b5b69f6ef895c983e7f3193c5"
+
+
+def test_c_digest_over_every_canonical_class(pinned_engine):
+    # k = 0..8, d = 1..6, delta >= 1; a non-integer total is a skip
+    lines, skips = [], 0
+    for b in canonical_classes(8, lambda k: range(1, 7)):
+        if delta(b) < 1:
+            continue
+        try:
+            r = c_beta(pinned_engine, b)
+        except InconsistentRelationError:
+            skips += 1
+            lines.append(f"{b}:skip\n")
+            continue
+        lines.append(f"{b}={r.value},{r.first_term},{r.boundary_term},{r.valid}\n")
+    assert (len(lines), skips) == (3564, 13)
+    assert digest(lines) == "619af7d8fb0a83e01be77a3c2b3b23f5fc8ff1d4a8a483189292b5be1c15569e"
