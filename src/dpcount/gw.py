@@ -2,9 +2,11 @@
 
 The counts are produced by three associativity relations of the quantum
 product (with the divisor axiom folded in), seeded with the geometrically
-obvious base values and memoized per Weyl-orbit (Cremona-reduced) class,
-which is also what the persistent cache stores.  All values are plain
-Python integers, so precision is unbounded.
+obvious base values and memoized per blown-down Weyl-orbit class,
+`blown_down_form`: Cremona-reduced and, at delta >= 1, without the
+multiplicities 0 and 1, which leave N unchanged.  That key is also what the
+persistent cache stores.  All values are plain Python integers, so precision
+is unbounded.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     arithmetic_genus,
+    blown_down_form,
     delta,
     format_class_literal,
     intersect,
     is_exceptional,
     minus_one_classes,
     parse_class_literal,
-    reduced_form,
 )
 
 CACHE_ENV_VAR = "DPCOUNT_CACHE"
@@ -298,13 +300,15 @@ class RelationEvaluator:
 class GWEngine:
     """Memoized evaluator of the counts N over every k <= 8 surface at once.
 
-    N is memoized per Weyl-orbit (Cremona-reduced) class, `reduced_form`:
-    N is invariant under W(E_k), so every class of an orbit shares one memo
-    entry and one set of splitting orbits, and the persistent cache stores
-    reduced classes only.  The memo is an insert-only map; duplicate
-    concurrent computation is harmless because every insert for a key
-    carries the same value.  So are the splitting orbits and the cusp
-    boundary sums that `cusp.c_beta` keeps, per canonical class, in
+    N is memoized at the key `blown_down_form`: the Weyl-orbit (Cremona-
+    reduced) class, with the multiplicities 0 and 1 dropped at delta >= 1.
+    N is invariant under W(E_k) and under blowing down a point of
+    multiplicity 0 or 1, so every class that shares a key shares one memo
+    entry and one set of splitting orbits, solved on the smallest surface,
+    and the persistent cache stores keys only.  The memo is an insert-only
+    map; duplicate concurrent computation is harmless because every insert
+    for a key carries the same value.  So are the splitting orbits and the
+    cusp boundary sums that `cusp.c_beta` keeps, per canonical class, in
     `cusp_boundary`.
     """
 
@@ -446,8 +450,11 @@ class GWEngine:
     # ------------------------------------------------------------ the counts
 
     def n_beta(self, beta: DivisorClass) -> int:
-        """N(beta), computed and memoized once per Weyl orbit, at the key `reduced_form(beta)`."""
-        key = reduced_form(beta)
+        """N(beta), computed and memoized once per key `blown_down_form(beta)`.
+
+        Every key that is neither a seed nor `quick_vanishing` has delta >= 1
+        and every m_i >= 2."""
+        key = blown_down_form(beta)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -476,10 +483,12 @@ class GWEngine:
 
         Domain: reduced keys (`reduced_form`), neither seeds nor `quick_vanishing`;
         d >= m_1 + m_2 + m_3 >= 3 m_4 and k <= 8 give 3d - 3 <= sum(m) <= 8d/3,
-        so d <= 9.  The probes L and one sum of E_i per value of m span the
-        divisors that beta's stabiliser fixes.  On those the orbit-weighted sum
-        is the full splitting sum, and both sides are multilinear, so if any
-        fixed tuple is nondegenerate, a basis tuple is.  Unreduced classes may
+        so d <= 9.  `n_beta` sends only its blown-down keys, every m_i >= 2:
+        of those just 6;2^8 (delta 1) and 9;3^8 (delta 2) reach this solve.
+        The probes L and one sum of E_i per value of m span the divisors that
+        beta's stabiliser fixes.  On those the orbit-weighted sum is the full
+        splitting sum, and both sides are multilinear, so if any fixed tuple
+        is nondegenerate, a basis tuple is.  Unreduced classes may
         have none: every fixed R3 tuple on 2;1,1,1,1 is degenerate.
         """
         m = beta.m
@@ -536,8 +545,10 @@ class GWEngine:
         """Merge a cache file into the memo; returns reports for skipped lines.
 
         Each row must hold a canonical (non-increasing) class and is filed
-        under its reduced key: N is Weyl-invariant, so rows that older
-        versions wrote for unreduced classes stay valid.
+        under its key `blown_down_form`: N is Weyl-invariant and blow-down
+        invariant, so rows that older versions wrote for unreduced or
+        unstripped classes stay valid.  A row may hold a class of lower k
+        than the queries it answers.
         """
         problems: list[str] = []
         try:
@@ -564,11 +575,11 @@ class GWEngine:
             except ValueError as exc:
                 problems.append(f"{path}:{lineno}: skipped corrupted cache line ({exc})")
                 continue
-            self._memo[reduced_form(beta)] = value
+            self._memo[blown_down_form(beta)] = value
         return problems
 
     def save_cache(self, path: str | os.PathLike) -> None:
-        """Atomic write of the memo, one row per reduced class: temp file in the target directory, then rename."""
+        """Atomic write of the memo, one row per key: temp file in the target directory, then rename."""
         path = os.fspath(path)
         directory = os.path.dirname(path) or "."
         rows = sorted(self._memo.items(), key=lambda kv: (kv[0].k, kv[0].d, kv[0].m))

@@ -148,6 +148,34 @@ def reduced_form(beta: DivisorClass) -> DivisorClass:
     with every m_i >= 0 is the one class of the orbit with m non-increasing
     and d >= m_1 + m_2 + m_3, so the whole orbit shares it.
     """
+    d, m = _cremona_reduce(beta)
+    m = tuple(m)
+    # an argument that is reduced already is returned as it is, not copied
+    return beta if d == beta.d and m == beta.m else DivisorClass(d, m)
+
+
+def blown_down_form(beta: DivisorClass) -> DivisorClass:
+    """`reduced_form(beta)` with every entry 0 or 1 dropped when every m_i >= 0 and delta >= 1.
+
+    The memo key of N.  Blowing up a point that the curve misses (m_i = 0) or
+    passes through once (m_i = 1, one more generic point) leaves N unchanged
+    (Goettsche-Pandharipande 1998), and dropping such an entry keeps the
+    genus, the m_1 > d test and a delta' = delta + (number of 1s) >= 1, so no
+    filter of N changes its verdict.  At delta <= 0 the key is the reduced
+    form: 1;1,1,1 (N = 0) must not become the seed 1;1,1, nor 3;1^8 (N = 12)
+    the cubic 3; (N = 1).  The result is a fixed point of `reduced_form` (the
+    dropped entries are the smallest) and of this function, on at most the
+    same k.
+    """
+    d, m = _cremona_reduce(beta)
+    if m and 0 <= m[-1] <= 1 and 3 * d - sum(m) >= 2:
+        del m[len(m) - m.count(0) - m.count(1):]  # sorted, so the 0s and 1s are the tail
+    m = tuple(m)
+    return beta if d == beta.d and m == beta.m else DivisorClass(d, m)
+
+
+def _cremona_reduce(beta: DivisorClass) -> tuple[int, list[int]]:
+    """(d, m) of `reduced_form(beta)`, with m a non-increasing list."""
     d, m = beta.d, sorted(beta.m, reverse=True)
     if len(m) >= 3 and m[-1] >= 0:
         while (excess := m[0] + m[1] + m[2] - d) > 0:
@@ -158,9 +186,7 @@ def reduced_form(beta: DivisorClass) -> DivisorClass:
             m.sort(reverse=True)
             if m[-1] < 0:
                 break
-    m = tuple(m)
-    # an argument that is reduced already is returned as it is, not copied
-    return beta if d == beta.d and m == beta.m else DivisorClass(d, m)
+    return d, m
 
 
 def is_exceptional(beta: DivisorClass) -> bool:

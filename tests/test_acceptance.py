@@ -127,14 +127,21 @@ def test_criterion_9_table_determinism(tmp_path):
     # Each child gets a minimal environment, so a DPCOUNT_CACHE or
     # PYTHONHASHSEED exported by the caller reaches none of the runs.
     # PYTHONPATH points the child at the dpcount package this process
-    # imported, whether that is src/ or an installed copy.
+    # imported, whether that is src/ or an installed copy, and
+    # PYTHONDONTWRITEBYTECODE keeps the children from writing a
+    # __pycache__ into it.
     t0 = time.time()
     package_root = os.path.dirname(os.path.dirname(dpcount.__file__))
     base_cmd = [sys.executable, "-m", "dpcount"]
     table_args = ["table", "--k", "2", "--dmax", "6"]
 
     def run(global_flags=(), **env_extra):
-        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, **env_extra}
+        env = {
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": package_root,
+            "PYTHONDONTWRITEBYTECODE": "1",
+            **env_extra,
+        }
         cmd = [*base_cmd, *global_flags, *table_args]
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr

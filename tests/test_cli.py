@@ -170,6 +170,18 @@ class TestCacheEnvVar:
         assert capsys.readouterr() == ("N=1\n", "")
         assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
 
+    def test_unstripped_row_of_an_older_cache_answers_the_plane_class(self, capsys, tmp_path):
+        # 4;1,1,1,0 is reduced; its 0 and 1s blow down to the plane quartic, so the
+        # row answers 4; too.  A computed value would grow the memo with the
+        # quartic's halves and rewrite the file.
+        cache = tmp_path / "cache.tsv"
+        cache.write_text("v1\t4\t4;1,1,1,0\t620\n")
+        before = self.aged(cache)
+        assert main(["--cache-path", str(cache), "nbeta", "4;"]) == 0
+        assert main(["--cache-path", str(cache), "nbeta", "4;1,1,1,0"]) == 0
+        assert capsys.readouterr() == ("N=620\nN=620\n", "")
+        assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+
 
 class TestVerifyCommand:
     def test_classical_suite_passes(self, capsys):

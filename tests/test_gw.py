@@ -22,6 +22,7 @@ from dpcount.lattice import (
     DivisorClass,
     SurfaceModel,
     arithmetic_genus,
+    blown_down_form,
     canonical_form,
     delta,
     intersect,
@@ -372,8 +373,37 @@ class TestWeylKey:
         engine = GWEngine()
         assert engine.n_beta(DivisorClass(5, (2, 2, 2, 0))) == 620
         assert engine.n_beta(DivisorClass(4, (0, 1, 1, 1))) == 620
+        # both reduce to 4;1,1,1,0, whose 0 and 1s blow down to the plane quartic
         assert DivisorClass(5, (2, 2, 2, 0)) not in engine._memo
-        assert engine._memo[DivisorClass(4, (1, 1, 1, 0))] == 620
+        assert DivisorClass(4, (1, 1, 1, 0)) not in engine._memo
+        assert engine._memo[P(4)] == 620
+
+
+class TestBlowDownKey:
+    """The memo key drops m_i in {0, 1} only at delta >= 1, where N does not see them."""
+
+    def test_negative_delta_keeps_its_zero(self):
+        # dropping a 1 from 1;1,1,1 (delta -1) would give the seed 1;1,1
+        engine = GWEngine()
+        assert engine.n_beta(DivisorClass(1, (1, 1, 1))) == 0
+        assert engine.n_beta(DivisorClass(1, (1, 1))) == 1
+
+    @pytest.mark.parametrize("beta, value", [(DivisorClass(2, (1,) * 5), 1), (DivisorClass(3, (1,) * 8), 12)])
+    def test_delta_zero_seeds_keep_their_own_keys(self, beta, value):
+        engine = GWEngine()
+        assert delta(beta) == 0
+        assert blown_down_form(beta) == reduced_form(beta)
+        assert engine.n_beta(beta) == value
+        assert engine._memo == {reduced_form(beta): value}
+
+    def test_stripped_classes_share_the_plane_entry(self):
+        engine = GWEngine()
+        assert engine.n_beta(P(4)) == 620
+        known = engine.memo_size
+        assert engine.n_beta(DivisorClass(4, (1, 0))) == 620
+        assert engine.n_beta(DivisorClass(4, (0, 1, 1, 1, 1, 1, 1, 1))) == 620
+        assert engine.memo_size == known  # both hits on 4;
+        assert all(blown_down_form(b) == b for b in engine._memo)
 
 
 # every reduced key with k <= 8, d <= 12 and delta 1 or 2 that is neither a
@@ -620,18 +650,20 @@ class TestConsistencyMutations:
         engine = GWEngine()
         beta = DivisorClass(4, (1, 1))
         engine.n_beta(beta)
-        engine._memo[canonical_form(beta)] += 1
+        engine._memo[blown_down_form(beta)] += 1
         report = engine.consistency_check(beta)
         assert not report.consistent
         # the value enters as lhs * N, so only lhs != 0 tuples can see it
         assert all(r.lhs_coeff != 0 for r in report.disagreements())
 
     def test_poisoned_splitting_half(self):
+        # 4;1,1 is solved as 4;, whose walk never meets 2;1,0; the check runs
+        # over 4;1,1's own splittings, so it reads that half, at its key 2;
         engine = GWEngine()
         beta, half = DivisorClass(4, (1, 1)), DivisorClass(2, (1, 0))
         assert any(b1 == half for b1, _ in engine.splittings(beta))
-        engine.n_beta(beta)
-        engine._memo[half] += 1
+        assert engine.consistency_check(beta).consistent
+        engine._memo[blown_down_form(half)] += 1
         assert not engine.consistency_check(beta).consistent
 
     def test_lhs_zero_tuple_alone_catches_a_poisoned_splitting(self):
@@ -687,7 +719,8 @@ class TestCache:
         path.write_text("v1\t3\t2;1,1,1\t1\nv1\t4\t5;2,2,2,0\t620\n")
         eng = GWEngine()
         assert eng.load_cache(path) == []
-        assert eng._memo == {DivisorClass(1, (0, 0, 0)): 1, DivisorClass(4, (1, 1, 1, 0)): 620}
+        # 2;1,1,1 reduces to 1;0,0,0 and 5;2,2,2,0 to 4;1,1,1,0; both blow down to the plane
+        assert eng._memo == {P(1): 1, P(4): 620}
 
     def test_saved_rows_are_reduced(self, tmp_path):
         path = tmp_path / "cache.tsv"

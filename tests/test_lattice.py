@@ -6,6 +6,7 @@ from dpcount.lattice import (
     DivisorClass,
     SurfaceModel,
     arithmetic_genus,
+    blown_down_form,
     canonical_form,
     cremona_image,
     delta,
@@ -157,6 +158,47 @@ class TestReducedForm:
         if min(reduced.m) >= 0:
             m = reduced.m
             assert list(m) == sorted(m, reverse=True) and reduced.d >= m[0] + m[1] + m[2]
+
+
+class TestBlownDownForm:
+    @pytest.mark.parametrize(
+        "literal, key",
+        [
+            ("4;1,1", "4;"),  # delta 9: both points blow down
+            ("5;0,2,2,2", "4;"),  # reduces to 4;1,1,1,0 first
+            ("4;2,1,1,1,1,1,1,1", "4;2"),
+            ("6;2,2,2,2,2,2,2,1", "6;2,2,2,2,2,2,2"),
+            ("1;1,0", "1;"),  # the seed L - E_1 becomes the seed L
+            ("1;1,1,1", "-1;-1,-1,-1"),  # delta -1: the reduced form, not the seed 1;1,1
+            ("2;1,1,1,1,1", "0;0,0,0,0,-1"),  # delta 0: the reduced form of a (-1)-class
+            ("3;1,1,1,1,1,1,1,1", "3;1,1,1,1,1,1,1,1"),  # delta 0: -K, not the cubic 3;
+            ("3;2,-1,0", "3;2,0,-1"),  # a negative m_i: only sorted
+            ("9;3,3,3,3,3,3,3,3", "9;3,3,3,3,3,3,3,3"),
+        ],
+    )
+    def test_examples(self, literal, key):
+        assert format_class_literal(blown_down_form(parse_class_literal(literal))) == key
+
+    @given(st.integers(-2, 12).flatmap(lambda d: st.builds(
+        DivisorClass, st.just(d), st.lists(st.integers(-1, max(d, 0) + 1), max_size=8).map(tuple)
+    )))
+    def test_idempotent_reduced_and_never_raises_k(self, beta):
+        key = blown_down_form(beta)
+        assert blown_down_form(key) == key
+        assert reduced_form(key) == key
+        assert key.k <= beta.k
+        reduced = reduced_form(beta)
+        if key.k < beta.k:  # only 0s and 1s go, and only at delta >= 1
+            assert delta(reduced) >= 1 and min(reduced.m) >= 0
+            assert key.d == reduced.d and key.m == reduced.m[: key.k]
+            assert set(reduced.m[key.k:]) <= {0, 1} and min(key.m, default=2) >= 2
+            assert arithmetic_genus(key) == arithmetic_genus(reduced)
+        else:
+            assert key == reduced
+
+    def test_returns_its_argument_when_it_is_a_key(self):
+        beta = DivisorClass(6, (2,) * 8)
+        assert blown_down_form(beta) is beta
 
 
 class TestCremona:
