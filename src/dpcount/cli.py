@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import product
 
 from .cusp import c_beta
@@ -62,10 +61,6 @@ class ResultRecord:
 
 def _flag(value: bool) -> str:
     return "true" if value else "false"
-
-
-def _fraction_str(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def parse_class(text: str) -> tuple[SurfaceModel, DivisorClass]:
@@ -143,8 +138,8 @@ def _cmd_cbeta(engine: GWEngine, args) -> int:
                     "k": beta.k,
                     "cls": args.cls.strip(),
                     "c": result.value,
-                    "first_term": _fraction_str(result.first_term),
-                    "boundary_term": _fraction_str(result.boundary_term),
+                    "first_term": str(result.first_term),
+                    "boundary_term": str(result.boundary_term),
                     "valid": result.valid,
                     "warnings": result.warnings,
                 }
@@ -152,8 +147,8 @@ def _cmd_cbeta(engine: GWEngine, args) -> int:
         )
     else:
         print(
-            f"C={result.value} first={_fraction_str(result.first_term)} "
-            f"boundary={_fraction_str(result.boundary_term)} valid={_flag(result.valid)}"
+            f"C={result.value} first={result.first_term} "
+            f"boundary={result.boundary_term} valid={_flag(result.valid)}"
         )
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
@@ -173,7 +168,7 @@ def _cmd_table(engine: GWEngine, args) -> int:
             ResultRecord(
                 k=beta.k,
                 cls=format_class_literal(beta),
-                n=engine.n_beta(beta),
+                n=result.n,
                 c=result.value,
                 valid=result.valid,
             )

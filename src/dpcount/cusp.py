@@ -21,18 +21,23 @@ class CuspResult:
     valid: bool
     first_term: Fraction
     boundary_term: Fraction
+    n: int  # N_beta, which the first term is proportional to
     warnings: list[str] = field(default_factory=list)
 
 
 def first_term(engine: GWEngine, beta: DivisorClass) -> Fraction:
     """((3 + k) - (9 - k) / deg) * N_beta, with deg the anticanonical degree."""
+    return _first_factor(beta) * engine.n_beta(beta)
+
+
+def _first_factor(beta: DivisorClass) -> Fraction:
+    """(3 + k) - (9 - k) / deg, the first term over N_beta; deg must be positive."""
     deg = beta.anticanonical_degree()
     if deg == 0:
         raise ValueError(f"class {beta} has anticanonical degree 0: formula divides by it")
     if deg < 0:
         raise ValueError(f"class {beta} has negative anticanonical degree {deg}")
-    k = beta.k
-    return (Fraction(3 + k) - Fraction(9 - k, deg)) * engine.n_beta(beta)
+    return Fraction(3 + beta.k) - Fraction(9 - beta.k, deg)
 
 
 def splitting_term(
@@ -62,7 +67,8 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
         raise ValueError(f"class {beta} has a negative multiplicity; all m_i >= 0 required")
     if delta(beta) < 1:
         raise ValueError(f"class {beta} has delta = {delta(beta)} < 1")
-    ft = first_term(engine, beta)
+    n = engine.n_beta(beta)  # c_beta's domain keeps deg >= 2, so _first_factor cannot raise
+    ft = _first_factor(beta) * n
     # the boundary sum is the same for every permutation of beta, so it is
     # kept per canonical class, and each stabiliser orbit of splittings
     # counts once, weighted by its size; splittings with a vanishing half
@@ -106,5 +112,5 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
             )
     if value < 0 and not valid:
         warnings.append(f"negative count {value} for {beta}; flagged for investigation")
-    return CuspResult(value=value, valid=valid, first_term=ft, boundary_term=bt, warnings=warnings)
+    return CuspResult(value=value, valid=valid, first_term=ft, boundary_term=bt, n=n, warnings=warnings)
 

@@ -25,6 +25,7 @@ from types import MappingProxyType
 from .lattice import (
     DivisorClass,
     SurfaceModel,
+    _orbit,
     arithmetic_genus,
     blown_down_form,
     delta,
@@ -128,29 +129,6 @@ def seed_classes(k: int) -> Mapping[DivisorClass, int]:
         # the pencil of cubics through 8 general points has 12 rational members
         seeds[surface.anticanonical()] = 12
     return MappingProxyType(seeds)
-
-
-def _orbit(m: tuple[int, ...], m1: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every distinct tuple that arises from m1 by permuting positions that hold equal m_i."""
-    pools: dict[int, list[int]] = {}
-    for mi, a in zip(m, m1):
-        pools.setdefault(mi, []).append(a)
-    found: list[tuple[int, ...]] = []
-    row = [0] * len(m)
-
-    def fill(i: int) -> None:
-        if i == len(m):
-            found.append(tuple(row))
-            return
-        pool = pools[m[i]]
-        for a in sorted(set(pool)):
-            pool.remove(a)
-            row[i] = a
-            fill(i + 1)
-            pool.append(a)
-
-    fill(0)
-    return found
 
 
 def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[tuple[int, ...], int]]:
@@ -579,10 +557,17 @@ class GWEngine:
         return problems
 
     def save_cache(self, path: str | os.PathLike) -> None:
-        """Atomic write of the memo, one row per key: temp file in the target directory, then rename."""
+        """Atomic write of the memo, one row per key: temp file in the target directory, then rename.
+
+        The rows of the file on disk whose keys the memo lacks are kept, so
+        writers that share a path keep each other's rows; where both hold a
+        key the memo's value wins, and corrupted lines are not copied.
+        """
         path = os.fspath(path)
         directory = os.path.dirname(path) or "."
-        rows = sorted(self._memo.items(), key=lambda kv: (kv[0].k, kv[0].d, kv[0].m))
+        disk = GWEngine()
+        disk.load_cache(path)
+        rows = sorted({**disk._memo, **self._memo}.items(), key=lambda kv: (kv[0].k, kv[0].d, kv[0].m))
         fd, tmp = tempfile.mkstemp(prefix=".dpcount-cache-", dir=directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

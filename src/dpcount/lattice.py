@@ -196,28 +196,50 @@ def is_exceptional(beta: DivisorClass) -> bool:
 
 @lru_cache(maxsize=None)
 def minus_one_classes(k: int) -> tuple[DivisorClass, ...]:
-    """All classes with beta^2 = -1 and (-K).beta = 1 (includes every E_i).
+    """All classes with beta^2 = -1 and (-K).beta = 1 (includes every E_i), sorted by (d, m).
 
-    Brute-force search over an enlarged box; the assertion that no solution
-    touches the enlargement proves the nominal box (d <= 6, -1 <= m_i <= 3)
-    is big enough.
+    Domain: 0 <= k <= 8; any other k raises the blow-up count error.  The
+    search walks the non-increasing profiles m in an enlarged box
+    (-2 <= m_i <= 4, d = (sum(m) + 1) / 3 in 0..7) and expands each solution
+    to its distinct rearrangements; the assertion that no solution touches
+    the enlargement proves the nominal box (d <= 6, -1 <= m_i <= 3) is big
+    enough.
     """
     SurfaceModel(k)
     found = []
-    for d in range(0, 8):
-        target = 3 * d - 1
-        for base in itertools.combinations_with_replacement(range(4, -3, -1), k):
-            if sum(base) != target:
-                continue
-            if d * d - sum(x * x for x in base) != -1:
-                continue
-            assert d <= 6 and all(-1 <= x <= 3 for x in base), (
-                f"(-1)-class search box too small: found ({d}; {base})"
-            )
-            for perm in set(itertools.permutations(base)):
-                found.append(DivisorClass(d, perm))
+    for base in itertools.combinations_with_replacement(range(4, -3, -1), k):
+        d, r = divmod(sum(base) + 1, 3)
+        if r or not 0 <= d <= 7 or d * d - sum(x * x for x in base) != -1:
+            continue
+        assert d <= 6 and all(-1 <= x <= 3 for x in base), (
+            f"(-1)-class search box too small: found ({d}; {base})"
+        )
+        found.extend(DivisorClass(d, m) for m in _orbit((0,) * k, base))
     found.sort(key=lambda b: (b.d, b.m))
     return tuple(found)
+
+
+def _orbit(m: tuple[int, ...], m1: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every distinct tuple that arises from m1 by permuting positions that hold equal m_i."""
+    pools: dict[int, list[int]] = {}
+    for mi, a in zip(m, m1):
+        pools.setdefault(mi, []).append(a)
+    found: list[tuple[int, ...]] = []
+    row = [0] * len(m)
+
+    def fill(i: int) -> None:
+        if i == len(m):
+            found.append(tuple(row))
+            return
+        pool = pools[m[i]]
+        for a in sorted(set(pool)):
+            pool.remove(a)
+            row[i] = a
+            fill(i + 1)
+            pool.append(a)
+
+    fill(0)
+    return found
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -75,6 +76,13 @@ class TestSeeds:
     def test_k8_includes_anticanonical(self, capsys):
         assert main(["seeds", "--k", "8"]) == 0
         assert "8\t3;1,1,1,1,1,1,1,1\t12" in capsys.readouterr().out.splitlines()
+
+    def test_k8_stdout_is_pinned(self, capsys):
+        # recorded on the brute-force (-1)-class search over all permutations
+        assert main(["seeds", "--k", "8"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "544d2b2c153a2838a3cb2211fec187303859f4a518894eabc8e1ee6e3cbca923"
+        )
 
 
 class TestTable:

@@ -750,6 +750,29 @@ class TestCache:
         assert len(problems) == 5
         assert eng._memo == {P(2): 1}
 
+    def test_writers_sharing_a_path_keep_each_others_rows(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        first, second = GWEngine(), GWEngine()
+        first.n_beta(P(1))
+        second.n_beta(DivisorClass(0, (-1,)))
+        assert set(first._memo).isdisjoint(second._memo)
+        first.save_cache(path)
+        second.save_cache(path)
+        reader = GWEngine()
+        assert reader.load_cache(path) == []
+        assert reader._memo == {P(1): 1, DivisorClass(0, (-1,)): 1}
+
+    def test_merge_keeps_the_memo_value_and_drops_corrupted_lines(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text("v1\t0\t4;\t7\nv1\t0\t6;\t87304\ngarbage\nv1\t2\t4;1,2\t1\n")
+        eng = GWEngine()
+        eng.n_beta(P(4))
+        eng.save_cache(path)
+        rows = path.read_text().splitlines()
+        assert "v1\t0\t4;\t620" in rows and "v1\t0\t4;\t7" not in rows
+        assert "v1\t0\t6;\t87304" in rows  # a key the memo lacks, kept as it was
+        assert len(rows) == len(eng._memo) + 1
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "cache.tsv"
         eng = GWEngine()

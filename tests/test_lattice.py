@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,6 +106,11 @@ class TestMinusOneClasses:
             0, 1, 3, 6, 10, 16, 27, 56, 240,
         ]
 
+    @pytest.mark.parametrize("k", [-1, 9])
+    def test_k_outside_the_domain_raises_the_blowup_count_error(self, k):
+        with pytest.raises(ValueError, match=f"blow-up count k={k} is outside"):
+            minus_one_classes(k)
+
     def test_k1_is_exceptional_curve(self):
         assert minus_one_classes(1) == (DivisorClass(0, (-1,)),)
 
@@ -118,6 +125,32 @@ class TestMinusOneClasses:
     def test_deterministic_order(self):
         classes_ = minus_one_classes(6)
         assert list(classes_) == sorted(classes_, key=lambda b: (b.d, b.m))
+
+    def test_listings_are_pinned(self):
+        # sha256 of the literals of k = 0..8, one per line in listing order,
+        # recorded on the brute-force search over all permutations
+        text = "".join(f"{format_class_literal(b)}\n" for k in range(9) for b in minus_one_classes(k))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5db9063621f70790b45a3dd56dfba5fe37d2d80be751aa64a5d47ae17b1afaa4"
+        )
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_strictly_increasing_so_no_duplicates(self, k):
+        keys = [(b.d, b.m) for b in minus_one_classes(k)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_closed_under_the_weyl_group(self, k):
+        # the transpositions (i, i+1) generate S_k; with the quadratic
+        # transform at the first three points they generate W(E_k), k >= 3
+        found = set(minus_one_classes(k))
+        for beta in found:
+            for i in range(k - 1):
+                m = list(beta.m)
+                m[i], m[i + 1] = m[i + 1], m[i]
+                assert DivisorClass(beta.d, tuple(m)) in found, (str(beta), i)
+            if k >= 3:
+                assert cremona_image(beta) in found, str(beta)
 
 
 class TestCanonicalForm:
