@@ -62,10 +62,6 @@ class TestCBeta:
         assert result.boundary_term == 909
         assert result.n == 620
 
-    def test_result_carries_the_count_of_its_class(self, engine):
-        beta = DivisorClass(6, (2, 1, 2, 0))
-        assert c_beta(engine, beta).n == engine.n_beta(beta) > 0
-
     def test_no_cuspidal_conics(self, engine):
         result = c_beta(engine, P(2))
         assert result.value == 0
