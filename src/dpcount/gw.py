@@ -12,15 +12,17 @@ is unbounded.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import tempfile
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
+from operator import mul, sub
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .lattice import (
     DivisorClass,
@@ -53,9 +55,8 @@ def comb0(n: int, r: int) -> int:
     return math.comb(n, r) if 0 <= r <= n else 0
 
 
-@dataclass(frozen=True)
-class WDVVRelation:
-    """One linear constraint: lhs_coeff * N_beta = rhs."""
+class WDVVRelation(NamedTuple):
+    """One linear constraint: lhs_coeff * N_beta = rhs; a named tuple, as one is built per relation."""
 
     name: str
     divisors: tuple[DivisorClass, ...]
@@ -131,14 +132,14 @@ def seed_classes(k: int) -> Mapping[DivisorClass, int]:
     return MappingProxyType(seeds)
 
 
-def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[tuple[int, ...], int]]:
-    """(m1, len(_orbit(m, m1))) per m1 with halves (d1; m1), (d2; m - m1) of delta >= 0, genus >= 0.
+def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple]:
+    """Orbit rows ((d1, m1), (d2, m - m1), len(_orbit(m, m1)), d1 < d2), both halves of delta, genus >= 0.
 
     One m1 per orbit of the permutations that fix m: the one whose entries
     do not increase over the positions that hold equal m_i.  Needs d1, d2 >= 1.
     Candidates are the box max(0, m_i - d2) <= m1_i <= min(d1, m_i), so both
     halves have 0 <= multiplicity <= degree; they are returned in
-    lexicographic order.  With S1 = sum m1_i, Q1 = sum m1_i(m1_i - 1) and Q2
+    lexicographic order of m1.  With S1 = sum m1_i, Q1 = sum m1_i(m1_i - 1) and Q2
     the same sum over m - m1, the conditions read
     S - 3*d2 + 1 <= S1 <= 3*d1 - 1, Q1 <= (d1-1)(d1-2) and Q2 <= (d2-1)(d2-2).
     A depth-first walk over the coordinates cuts a branch as soon as the
@@ -167,12 +168,12 @@ def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple[t
         previous.append(last.get(mi))
         last[mi] = i
     rank = [m[: i + 1].count(mi) for i, mi in enumerate(m)]  # positions up to i holding m_i
-    found: list[tuple[tuple[int, ...], int]] = []
+    found: list[tuple] = []
     m1, run = [0] * k, [0] * k  # run[i]: positions up to i that hold m_i and m1[i]
 
     def walk(i: int, s1: int, q1: int, q2: int, size: int) -> None:
         if i == k:
-            found.append((tuple(m1), size))
+            found.append(((d1, tuple(m1)), (d2, tuple(map(sub, m, m1))), size, d1 < d2))
             return
         j = i + 1
         r = ranges[i]
@@ -209,18 +210,18 @@ class RelationEvaluator:
     An insertion is an index into `divisors`.  Both sides are computed from
     intersection numbers alone: x.y and x.beta for the lhs, x.beta1 and
     x.beta2 = x.beta - x.beta1 per splitting for the rhs.  `data` holds a row
-    (beta1, beta2, w, delta(beta1)) per ordered splitting or orbit, two per
-    unordered orbit (`GWEngine._weighted_data`).  Both sides are multilinear.
+    ((d1, m1), w, delta(beta1)) per ordered splitting or orbit, two per
+    unordered orbit (`GWEngine._orbit_data`).  Both sides are multilinear.
     """
 
     def __init__(self, beta: DivisorClass, divisors, data=()):
         self.divisors = divisors = tuple(divisors)
         self.data = data
         self.delta = delta(beta)
-        self.pair = cache(lambda i, j: intersect(divisors[i], divisors[j]))  # on first use
+        self.pair = [[intersect(x, y) for y in divisors] for x in divisors]
         self.on_beta = [intersect(x, beta) for x in divisors]
         # per distinct divisor, so R1(-K, -K) intersects each beta1 with -K once
-        first = {x: [intersect(x, row[0]) for row in data] for x in dict.fromkeys(divisors)}
+        first = {x: [x.d * d1 - sum(map(mul, x.m, m1)) for (d1, m1), _, _ in data] for x in set(divisors)}
         self.halves = [
             (first[x], [xb - x1 for x1 in first[x]]) for x, xb in zip(divisors, self.on_beta)
         ]
@@ -231,26 +232,26 @@ class RelationEvaluator:
         w C(D-2, d1) for R2, w C(D-1, d1) for R3, with D = delta(beta), d1 = delta(beta1)."""
         found = self._weights.get(name)
         if found is None:
-            n = self.delta - RELATIONS[name][1]
-            shifts = (1, 2) if name == "R1" else (0,)
-            found = self._weights[name] = tuple(
-                [w * comb0(n, d1 - shift) for _, _, w, d1 in self.data] for shift in shifts
-            )
+            n, deltas, found = self.delta - RELATIONS[name][1], {d1 for _, _, d1 in self.data}, []
+            for shift in (1, 2) if name == "R1" else (0,):
+                binom = {d1: comb0(n, d1 - shift) for d1 in deltas}
+                found.append([w * binom[d1] for _, w, d1 in self.data])
+            found = self._weights[name] = tuple(found)
         return found
 
     def lhs(self, name: str, ins: tuple[int, ...]) -> int:
         pair, xb = self.pair, self.on_beta
         if name == "R1":  # insertions (pt, pt, A, B)
-            return pair(*ins)
+            return pair[ins[0]][ins[1]]
         if name == "R2":  # insertions (A, B, C, pt)
             a, b, c = ins
-            return pair(a, b) * xb[c] - pair(a, c) * xb[b]
+            return pair[a][b] * xb[c] - pair[a][c] * xb[b]
         a, b, c, d = ins  # insertions (A, B, C, D)
         return (
-            pair(a, b) * xb[c] * xb[d]
-            + pair(c, d) * xb[a] * xb[b]
-            - pair(a, c) * xb[b] * xb[d]
-            - pair(b, d) * xb[a] * xb[c]
+            pair[a][b] * xb[c] * xb[d]
+            + pair[c][d] * xb[a] * xb[b]
+            - pair[a][c] * xb[b] * xb[d]
+            - pair[b][d] * xb[a] * xb[c]
         )
 
     def rhs(self, name: str, ins: tuple[int, ...]) -> int:
@@ -292,7 +293,8 @@ class GWEngine:
 
     def __init__(self):
         self._memo: dict[DivisorClass, int] = {}
-        self._orbits: dict[DivisorClass, tuple[tuple[DivisorClass, DivisorClass, int, bool], ...]] = {}
+        self._orbits: dict[DivisorClass, tuple] = {}  # `_orbit_rows`
+        self._half_n: dict[tuple, int] = {}  # `_half_value`
         self.cusp_boundary: dict[DivisorClass, Fraction] = {}
 
     @property
@@ -310,21 +312,15 @@ class GWEngine:
 
     def quick_vanishing(self, beta: DivisorClass) -> bool:
         """True when N is certainly zero for geometric reasons."""
-        if beta.d < 0:
-            return True
-        if beta.d == 0:
-            return not is_exceptional(beta)
-        if any(mi < 0 for mi in beta.m):
-            return True
-        if any(mi > beta.d for mi in beta.m):
-            return True
-        if delta(beta) < 0:
-            return True
-        if arithmetic_genus(beta) < 0:
-            return True
-        if delta(beta) == 0 and self.seed_value(beta) is None:
-            return True
-        return False
+        if beta.d <= 0:
+            return beta.d < 0 or not is_exceptional(beta)
+        return (
+            min(beta.m, default=0) < 0
+            or max(beta.m, default=0) > beta.d
+            or delta(beta) < 0
+            or arithmetic_genus(beta) < 0
+            or (delta(beta) == 0 and self.seed_value(beta) is None)
+        )
 
     # ------------------------------------------------------------ splittings
 
@@ -345,58 +341,74 @@ class GWEngine:
         test is left, as delta = 0 means -K.h = 1 and odd h^2 = 2g - 1 >= -1,
         so by Hodge index h is a (-1)-class or, at k = 8, -K: a seed.
         """
-        cached = self._orbits.get(beta)
-        if cached is not None:
-            return cached
+        return tuple(
+            (DivisorClass(*h1), DivisorClass(*h2), size, swap) for h1, h2, size, swap in self._orbit_rows(beta)
+        )
+
+    def _orbit_rows(self, beta: DivisorClass) -> tuple[tuple, ...]:
+        """`splitting_orbits(beta)` as rows ((d1, m1), (d2, m2), size, swap) of ints, cached per class."""
+        if beta in self._orbits:
+            return self._orbits[beta]
         k, d, m = beta.k, beta.d, beta.m
-        surface = SurfaceModel(k)
-        orbits = []
+        rows = []
         for i in (i for i in range(k) if m[i] not in m[:i]):
-            b1 = surface.exceptional(i)
-            b2 = beta - b1  # quick_vanishing holds for the zero class
-            if not (self.quick_vanishing(b1) or self.quick_vanishing(b2)):
-                orbits.append((b1, b2, m.count(m[i]), True))
+            m2 = (*m[:i], m[i] + 1, *m[i + 1 :])  # beta - E_i; E_i itself never vanishes
+            if not self.quick_vanishing(DivisorClass(d, m2)):  # true for the zero class
+                rows.append(((0, (0,) * i + (-1,) + (0,) * (k - i - 1)), (d, m2), m.count(m[i]), True))
         for d1 in range(1, d // 2 + 1):
-            for m1, size in _viable_multiplicities(m, d1, d - d1):
-                b2 = DivisorClass(d - d1, tuple(map(operator.sub, m, m1)))
-                orbits.append((DivisorClass(d1, m1), b2, size, 2 * d1 < d))
-        result = tuple(orbits)
-        self._orbits[beta] = result
-        return result
+            rows += _viable_multiplicities(m, d1, d - d1)
+        return self._orbits.setdefault(beta, tuple(rows))
 
     def splittings(self, beta: DivisorClass) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
         """All ordered pairs beta1 + beta2 = beta with both halves viable, sorted by beta1.
 
         The orbits of `splitting_orbits` and their swaps, expanded, for probe
         divisors that are not stabiliser invariant, as in `consistency_check`."""
-        pairs = []
-        for b1, b2, _, swap in self.splitting_orbits(beta):
-            for half in (b1, b2) if swap else (b1,):
-                for m1 in _orbit(beta.m, half.m):
-                    h = DivisorClass(half.d, m1)
-                    pairs.append((h, beta - h))
+        pairs = [
+            (DivisorClass(hd, m1), DivisorClass(beta.d - hd, tuple(map(sub, beta.m, m1))))
+            for h1, h2, _, swap in self._orbit_rows(beta)
+            for hd, hm in ((h1, h2) if swap else (h1,))
+            for m1 in _orbit(beta.m, hm)
+        ]
         pairs.sort(key=lambda p: (p[0].d, p[0].m))
         return tuple(pairs)
 
-    def _weighted_data(self, orbits):
-        """Per (beta1, beta2, size, swap): (beta1, beta2, size*N1*N2*(beta1.beta2), delta(beta1)),
-        then, with `swap`, the same for (beta2, beta1); zeros dropped."""
+    def _orbit_data(self, beta: DivisorClass) -> list[tuple]:
+        """Evaluator rows (half1, size*N1*N2*(beta1.beta2), delta(beta1)) over beta's orbits,
+        and (half2, ...) too with `swap`; zeros dropped, N per half from `_half_n`."""
+        get, lookup = self._half_n.get, self._half_value
+        top = delta(beta) - 1  # delta(beta1) + delta(beta2)
         data = []
-        for b1, b2, size, swap in orbits:
-            n1 = self.n_beta(b1)
-            if n1 == 0:
-                continue
-            n2 = self.n_beta(b2)
-            if n2 == 0:
-                continue
-            w = size * n1 * n2 * intersect(b1, b2)
-            data.append((b1, b2, w, delta(b1)))
-            if swap:
-                data.append((b2, b1, w, delta(b2)))
+        for h1, h2, size, swap in self._orbit_rows(beta):
+            n1 = get(h1) or lookup(h1)
+            n2 = n1 and (get(h2) or lookup(h2))
+            if n2:
+                (d1, m1), (d2, m2) = h1, h2
+                w = size * n1 * n2 * (d1 * d2 - sum(map(mul, m1, m2)))
+                delta1 = 3 * d1 - sum(m1) - 1
+                data.append((h1, w, delta1))
+                if swap:
+                    data.append((h2, w, top - delta1))
         return data
 
-    def _splitting_data(self, beta: DivisorClass):
-        return self._weighted_data((b1, b2, 1, False) for b1, b2 in self.splittings(beta))
+    def _half_value(self, half: tuple) -> int:
+        """N of a half (d, m) via `n_beta` once per sorted m, filed in `_half_n` (0 is looked up again).
+
+        Only the solve path reads `_half_n`; `consistency_check` reads N through
+        `n_beta`, so it sees a memo entry that changed after a solve."""
+        known, canonical = self._half_n, (half[0], tuple(sorted(half[1], reverse=True)))
+        if canonical not in known:
+            known[canonical] = self.n_beta(DivisorClass(*canonical))
+        value = known[half] = known[canonical]
+        return value
+
+    def _splitting_data(self, beta: DivisorClass) -> list[tuple]:
+        """Evaluator rows over `splittings(beta)`, each N read through `n_beta`."""
+        data = []
+        for b1, b2 in self.splittings(beta):
+            if n1 := self.n_beta(b1):
+                data.append(((b1.d, b1.m), n1 * self.n_beta(b2) * intersect(b1, b2), delta(b1)))
+        return data
 
     # ------------------------------------------------------------- relations
 
@@ -447,8 +459,7 @@ class GWEngine:
                 # -K is fixed by every permutation of the m_i, so the sum runs
                 # over stabiliser orbits; the lhs coefficient is
                 # (-K).(-K) = 9 - k >= 1, never degenerate
-                data = self._weighted_data(self.splitting_orbits(key))
-                value = self._relation_r1(key, mk, mk, data).solve()
+                value = self._relation_r1(key, mk, mk, self._orbit_data(key)).solve()
             else:
                 value = self._solve_low_delta(key)
         if value < 0:
@@ -472,7 +483,7 @@ class GWEngine:
         m = beta.m
         basis = [SurfaceModel(beta.k).line()]
         basis.extend(DivisorClass(0, tuple(-1 if a == v else 0 for a in m)) for v in dict.fromkeys(m))
-        evaluator = RelationEvaluator(beta, basis, self._weighted_data(self.splitting_orbits(beta)))
+        evaluator = RelationEvaluator(beta, basis, self._orbit_data(beta))
         for name in ("R2", "R3"):
             arity, low = RELATIONS[name]
             if evaluator.delta < low:
@@ -575,8 +586,6 @@ class GWEngine:
                     fh.write(f"{CACHE_VERSION}\t{beta.k}\t{format_class_literal(beta)}\t{value}\n")
             os.replace(tmp, path)
         except BaseException:
-            try:
+            with suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
             raise

@@ -80,12 +80,6 @@ class DivisorClass:
         _check_same_k(self, other)
         return DivisorClass(self.d - other.d, tuple(a - b for a, b in zip(self.m, other.m)))
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.d, tuple(-a for a in self.m))
-
-    def scale(self, c: int) -> "DivisorClass":
-        return DivisorClass(c * self.d, tuple(c * a for a in self.m))
-
     def self_intersection(self) -> int:
         return self.d * self.d - sum(a * a for a in self.m)
 
@@ -162,10 +156,9 @@ def blown_down_form(beta: DivisorClass) -> DivisorClass:
     (Goettsche-Pandharipande 1998), and dropping such an entry keeps the
     genus, the m_1 > d test and a delta' = delta + (number of 1s) >= 1, so no
     filter of N changes its verdict.  At delta <= 0 the key is the reduced
-    form: 1;1,1,1 (N = 0) must not become the seed 1;1,1, nor 3;1^8 (N = 12)
-    the cubic 3; (N = 1).  The result is a fixed point of `reduced_form` (the
-    dropped entries are the smallest) and of this function, on at most the
-    same k.
+    form: 1;1,1,1 (delta -1, N = 0) must not become the seed 1;1,1 (N = 1).
+    The result is a fixed point of `reduced_form` (the dropped entries are
+    the smallest) and of this function, on at most the same k.
     """
     d, m = _cremona_reduce(beta)
     if m and 0 <= m[-1] <= 1 and 3 * d - sum(m) >= 2:

@@ -62,6 +62,11 @@ class TestCBeta:
         assert result.boundary_term == 909
         assert result.n == 620
 
+    def test_result_carries_the_count_of_its_class(self, engine):
+        # a permuted k > 0 class, whose N the engine reads at its blow-down key 6;2,2
+        beta = DivisorClass(6, (2, 1, 2, 0))
+        assert c_beta(engine, beta).n == engine.n_beta(beta) == 1558272
+
     def test_no_cuspidal_conics(self, engine):
         result = c_beta(engine, P(2))
         assert result.value == 0

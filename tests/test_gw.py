@@ -193,8 +193,7 @@ class CanonicalKeyEngine(GWEngine):
             value = 0
         elif delta(key) >= 3:
             mk = SurfaceModel(key.k).anticanonical()
-            data = self._weighted_data(self.splitting_orbits(key))
-            value = self._relation_r1(key, mk, mk, data).solve()
+            value = self._relation_r1(key, mk, mk, self._orbit_data(key)).solve()
         else:
             value = pool_solve_low_delta(self, key)
         self._memo[key] = value
@@ -323,8 +322,7 @@ class TestSplittingOrbits:
                 assert len(set(pairs)) == len(pairs), beta
             if delta(beta) >= 3:
                 mk = SurfaceModel(beta.k).anticanonical()
-                data = engine._weighted_data(orbits)
-                orbit_rhs = engine._relation_r1(beta, mk, mk, data).rhs
+                orbit_rhs = engine._relation_r1(beta, mk, mk, engine._orbit_data(beta)).rhs
                 assert orbit_rhs == engine.relation_r1(beta, mk, mk).rhs, beta
 
     def test_walk_weights_are_orbit_lengths_in_any_order(self, engine):
@@ -539,6 +537,15 @@ class TestNBeta:
     def test_vanishing_class(self, engine):
         assert engine.n_beta(DivisorClass(2, (2, 1))) == 0
 
+    def test_curves_with_a_point_of_multiplicity_one_below_the_degree(self):
+        # a closed form the recursion does not use: the degree-d curves with a
+        # (d-1)-fold point at a fixed point are rational and form a linear
+        # system of dimension d(d+3)/2 - d(d-1)/2 = 2d = delta, so one of them
+        # passes through 2d general points; for d >= 3 the key d;d-1 is solved
+        # by R1(-K, -K) over its own splitting orbits
+        engine = GWEngine()
+        assert [engine.n_beta(DivisorClass(d, (d - 1,))) for d in range(2, 12)] == [1] * 10
+
     @given(
         st.integers(1, 5),
         st.lists(st.integers(0, 3), min_size=0, max_size=4),
@@ -600,6 +607,17 @@ class TestConsistencyCheck:
     def test_pool_size_outside_the_basis_names_the_range(self, engine, pool_size):
         with pytest.raises(ValueError, match=r"pool_size -?\d+ is outside 1\.\.3"):
             engine.consistency_check(DivisorClass(3, (1, 1)), pool_size=pool_size)
+
+    @pytest.mark.parametrize(
+        "literal", ["7;3,2,2,2,2,2,2,2", "8;2,2,2,2,2,2", "6;2,2,2,2,2,2,2,2", "9;3,3,3,3,3,3,3,3"]
+    )
+    def test_large_k_classes_on_the_full_basis(self, literal):
+        # the two cold_nbeta anchors, and the only blown-down keys that reach
+        # _solve_low_delta (delta 1 and 2); N comes from the int orbit rows,
+        # the relations are summed over the ordered DivisorClass splittings
+        report = GWEngine().consistency_check(parse_class_literal(literal))
+        assert report.consistent
+        assert any(r.lhs_coeff for r in report.relations)
 
     def test_pool_size_takes_the_first_basis_divisors(self, engine):
         report = engine.consistency_check(DivisorClass(3, (1, 1)), pool_size=2)
@@ -673,7 +691,7 @@ class TestConsistencyMutations:
         # the m_i <= d rule would.
         engine = GWEngine()
         beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
-        engine._orbits[beta] = ((e1, bad, 1, True),)
+        engine._orbits[beta] = (((e1.d, e1.m), (bad.d, bad.m), 1, True),)
         engine._memo[bad] = 1
         report = engine.consistency_check(beta)
         assert not report.consistent
@@ -683,7 +701,7 @@ class TestConsistencyMutations:
     def test_suite_fail_line_prints_both_sides(self, monkeypatch):
         engine = GWEngine()
         beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
-        engine._orbits[beta] = ((e1, bad, 1, True),)
+        engine._orbits[beta] = (((e1.d, e1.m), (bad.d, bad.m), 1, True),)
         engine._memo[bad] = 1
         monkeypatch.setattr(verify, "random_classes", lambda *args, **kwargs: [beta])
         ok, lines = verify.consistency_suite(engine, samples=1)
