@@ -74,11 +74,6 @@ class WDVVRelation(NamedTuple):
             )
         return q
 
-    @property
-    def implied_value(self) -> Fraction | None:
-        """rhs / lhs_coeff, or None when lhs_coeff = 0 and the relation says nothing about N."""
-        return Fraction(self.rhs, self.lhs_coeff) if self.lhs_coeff else None
-
 
 @dataclass
 class ConsistencyReport:
@@ -208,10 +203,17 @@ class RelationEvaluator:
     """Both sides of R1, R2 and R3, lhs * N_beta = rhs, for one class beta.
 
     An insertion is an index into `divisors`.  Both sides are computed from
-    intersection numbers alone: x.y and x.beta for the lhs, x.beta1 and
-    x.beta2 = x.beta - x.beta1 per splitting for the rhs.  `data` holds a row
+    intersection numbers alone: x.y and x.beta for the lhs, x1 = x.beta1 and
+    x2 = x.beta2 = x.beta - x1 per splitting for the rhs.  `data` holds a row
     ((d1, m1), w, delta(beta1)) per ordered splitting or orbit, two per
     unordered orbit (`GWEngine._orbit_data`).  Both sides are multilinear.
+
+    Each rhs is one dot product of two per-row factor lists, and each list is
+    built once, on first use.  With Q_bc = x1_c * x2_b - x1_b * x2_c, the
+    weights h, l of R1 and w of R2 or R3 (`weights`):
+    R1(a, b) = (h x1_a - l x2_a) . x2_b, R2(a, b, c) = (w x1_a) . Q_bc and
+    R3(a, b, c, d) = (w x1_a x2_d) . Q_bc.  For R2 and R3 both sides change
+    sign when b and c are swapped, whatever the data.
     """
 
     def __init__(self, beta: DivisorClass, divisors, data=()):
@@ -226,6 +228,7 @@ class RelationEvaluator:
             (first[x], [xb - x1 for x1 in first[x]]) for x, xb in zip(divisors, self.on_beta)
         ]
         self._weights: dict[str, tuple[list[int], ...]] = {}
+        self._factors: dict[tuple, list[int]] = {}
 
     def weights(self, name: str) -> tuple[list[int], ...]:
         """Per-splitting rhs coefficients of `name`: w C(D-3, d1-1) and w C(D-3, d1-2) for R1,
@@ -237,6 +240,26 @@ class RelationEvaluator:
                 binom = {d1: comb0(n, d1 - shift) for d1 in deltas}
                 found.append([w * binom[d1] for _, w, d1 in self.data])
             found = self._weights[name] = tuple(found)
+        return found
+
+    def _factor(self, key: tuple) -> list[int]:
+        """The per-row factor list `key`, built on first use: (name, a) is the factor of insertion a
+        (h x1_a - l x2_a for R1, w x1_a for R2 and R3), ("R3", a, d) is w x1_a x2_d, ("Q", b, c) is Q_bc."""
+        found = self._factors.get(key)
+        if found is None:
+            name, i, *j = key
+            x1, x2 = self.halves[i]
+            if name == "Q":
+                y1, y2 = self.halves[j[0]]
+                found = list(map(sub, map(mul, y1, x2), map(mul, x1, y2)))
+            elif j:
+                found = list(map(mul, self._factor((name, i)), self.halves[j[0]][1]))
+            elif name == "R1":
+                h, l = self.weights(name)
+                found = list(map(sub, map(mul, h, x1), map(mul, l, x2)))
+            else:
+                found = list(map(mul, self.weights(name)[0], x1))
+            self._factors[key] = found
         return found
 
     def lhs(self, name: str, ins: tuple[int, ...]) -> int:
@@ -255,21 +278,11 @@ class RelationEvaluator:
         )
 
     def rhs(self, name: str, ins: tuple[int, ...]) -> int:
-        halves, cw = self.halves, self.weights(name)
+        factor = self._factor
         if name == "R1":
-            (a1, a2), (_, b2) = halves[ins[0]], halves[ins[1]]
-            return sum(y2 * (h * x1 - l * x2) for h, l, x1, x2, y2 in zip(*cw, a1, a2, b2))
-        if name == "R2":
-            (a1, _), (b1, b2), (c1, c2) = (halves[i] for i in ins)
-            return sum(
-                w * x1 * (z1 * y2 - y1 * z2)
-                for w, x1, y1, y2, z1, z2 in zip(*cw, a1, b1, b2, c1, c2)
-            )
-        (a1, _), (b1, b2), (c1, c2), (_, d2) = (halves[i] for i in ins)
-        return sum(
-            w * x1 * u2 * (z1 * y2 - y1 * z2)
-            for w, x1, y1, y2, z1, z2, u2 in zip(*cw, a1, b1, b2, c1, c2, d2)
-        )
+            return sum(map(mul, factor(("R1", ins[0])), self.halves[ins[1]][1]))
+        left = factor((name, ins[0])) if name == "R2" else factor((name, ins[0], ins[3]))
+        return sum(map(mul, left, factor(("Q", ins[1], ins[2]))))
 
     def relation(self, name: str, ins: tuple[int, ...]) -> WDVVRelation:
         divisors = tuple(self.divisors[i] for i in ins)
@@ -517,8 +530,17 @@ class GWEngine:
         for name, (arity, low) in RELATIONS.items():
             if evaluator.delta < low:
                 continue
+            # R2 and R3 are antisymmetric in (b, c): b = c reads 0 = 0 and b > c
+            # negates the tuple with b and c swapped, which product() met earlier
+            sides: dict[tuple, tuple[int, int]] = {}
             for ins in product(range(len(evaluator.divisors)), repeat=arity):
-                lhs, rhs = evaluator.lhs(name, ins), evaluator.rhs(name, ins)
+                if arity == 2 or ins[1] < ins[2]:
+                    lhs, rhs = sides[ins] = evaluator.lhs(name, ins), evaluator.rhs(name, ins)
+                elif ins[1] == ins[2]:
+                    continue
+                else:
+                    lhs, rhs = sides[(ins[0], ins[2], ins[1], *ins[3:])]
+                    lhs, rhs = -lhs, -rhs
                 if lhs or rhs:  # tuples that read 0 = 0 get no WDVVRelation
                     divisors = tuple(evaluator.divisors[i] for i in ins)
                     report.relations.append(WDVVRelation(name, divisors, lhs, rhs))

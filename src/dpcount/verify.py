@@ -79,7 +79,6 @@ def consistency_suite(
     seed: int = 0,
     k_max: int = 8,
     delta_max: int = 10,
-    pool_size: int | None = None,
 ) -> tuple[bool, list[str]]:
     """R1, R2 and R3 must hold at the engine value on every basis tuple, class by class."""
     rng = random.Random(seed)
@@ -87,7 +86,7 @@ def consistency_suite(
     lines = []
     ok = True
     for beta in classes:
-        report = engine.consistency_check(beta, pool_size=pool_size)
+        report = engine.consistency_check(beta)
         if report.consistent:
             continue
         ok = False

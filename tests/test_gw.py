@@ -58,13 +58,14 @@ def box_splittings(engine, beta):
     return tuple(pairs)
 
 
-def pool_relations(engine, beta, tuples):
+def pool_relations(engine, beta, tuples, keep_zero_lhs=False):
     """Reference for `GWEngine.consistency_check`: the check it replaced, over `divisor_pool`.
 
     Returns (name, divisors, lhs, rhs) for every relation with lhs != 0 on the
-    pool index tuples that tuples(arity, pool size) yields.  Each intersection
-    number is taken directly, x.beta2 included, and the splitting data comes
-    from `splittings` and `n_beta`.
+    pool index tuples that tuples(arity, pool size) yields; with
+    `keep_zero_lhs`, also those with lhs = 0 and rhs != 0.  Each rhs is summed
+    row by row, each intersection number is taken directly, x.beta2 included,
+    and the splitting data comes from `splittings` and `n_beta`.
     """
     pool = divisor_pool(beta.k)
     db = delta(beta)
@@ -84,22 +85,26 @@ def pool_relations(engine, beta, tuples):
         c_hi = [comb0(db - 3, d1 - 1) for d1 in d1s]
         c_lo = [comb0(db - 3, d1 - 2) for d1 in d1s]
         for ia, ib in tuples(2, n):
-            if pp[ia][ib] == 0:
+            if pp[ia][ib] == 0 and not keep_zero_lhs:
                 continue
             rhs = sum(
                 w[t] * p2[ib][t] * (p1[ia][t] * c_hi[t] - p2[ia][t] * c_lo[t]) for t in range(s)
             )
+            if pp[ia][ib] == rhs == 0:
+                continue
             found.append(("R1", (pool[ia], pool[ib]), pp[ia][ib], rhs))
     if db >= 2:
         cw = [comb0(db - 2, d1s[t]) * w[t] for t in range(s)]
         for ia, ib, ic in tuples(3, n):
             lhs = pp[ia][ib] * pb[ic] - pp[ia][ic] * pb[ib]
-            if lhs == 0:
+            if lhs == 0 and not keep_zero_lhs:
                 continue
             rhs = sum(
                 cw[t] * p1[ia][t] * (p1[ic][t] * p2[ib][t] - p1[ib][t] * p2[ic][t])
                 for t in range(s)
             )
+            if lhs == rhs == 0:
+                continue
             found.append(("R2", (pool[ia], pool[ib], pool[ic]), lhs, rhs))
     if db >= 1:
         cw = [comb0(db - 1, d1s[t]) * w[t] for t in range(s)]
@@ -115,11 +120,13 @@ def pool_relations(engine, beta, tuples):
                 - pp[ia][ic] * pb[ib] * pb[idx]
                 - pp[ib][idx] * pb[ia] * pb[ic]
             )
-            if lhs == 0:
+            if lhs == 0 and not keep_zero_lhs:
                 continue
             left, right = prod1[ia, ic], prod2[ib, idx]
             left2, right2 = prod1[ia, ib], prod2[ic, idx]
             rhs = sum(cw[t] * (left[t] * right[t] - left2[t] * right2[t]) for t in range(s))
+            if lhs == rhs == 0:
+                continue
             found.append(("R3", (pool[ia], pool[ib], pool[ic], pool[idx]), lhs, rhs))
     return found
 
@@ -198,6 +205,21 @@ class CanonicalKeyEngine(GWEngine):
             value = pool_solve_low_delta(self, key)
         self._memo[key] = value
         return value
+
+
+def lhs_zero_poisoned_engine():
+    """An engine whose only splitting of 1;1 is E_1 + (L - 2E_1), with N(L - 2E_1) = 1.
+
+    (L - E_1)^2 = 0 on k = 1, so every relation on 1;1 has lhs = 0 for all
+    insertions and only the rhs = 0 rule sees its splittings.  The vanishing
+    half L - 2E_1 is admitted as a quick_vanishing that lost the m_i <= d rule
+    would admit it.
+    """
+    engine = GWEngine()
+    beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
+    engine._orbits[beta] = (((e1.d, e1.m), (bad.d, bad.m), 1, True),)
+    engine._memo[bad] = 1
+    return engine, beta
 
 
 def small_classes():
@@ -589,7 +611,7 @@ class TestConsistencyCheck:
         report = engine.consistency_check(P(4), pool_size=1)
         assert report.value == 620
         assert report.consistent
-        assert all(r.implied_value == 620 for r in report.relations)
+        assert all(r.lhs_coeff != 0 and r.rhs == 620 * r.lhs_coeff for r in report.relations)
         assert len(report.relations) == 1
 
     def test_line_through_point_k2_full_pool(self, engine):
@@ -685,24 +707,14 @@ class TestConsistencyMutations:
         assert not engine.consistency_check(beta).consistent
 
     def test_lhs_zero_tuple_alone_catches_a_poisoned_splitting(self):
-        # (L - E1)^2 = 0 on k = 1, so every relation on L - E1 has lhs = 0 for
-        # all insertions and only the rhs = 0 rule sees its splittings.  Admit
-        # the vanishing half L - 2E1 with N = 1, as a quick_vanishing that lost
-        # the m_i <= d rule would.
-        engine = GWEngine()
-        beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
-        engine._orbits[beta] = (((e1.d, e1.m), (bad.d, bad.m), 1, True),)
-        engine._memo[bad] = 1
+        engine, beta = lhs_zero_poisoned_engine()
         report = engine.consistency_check(beta)
         assert not report.consistent
         assert report.relations and all(r.lhs_coeff == 0 for r in report.relations)
         assert "seed = 1" in report.note
 
     def test_suite_fail_line_prints_both_sides(self, monkeypatch):
-        engine = GWEngine()
-        beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
-        engine._orbits[beta] = (((e1.d, e1.m), (bad.d, bad.m), 1, True),)
-        engine._memo[bad] = 1
+        engine, beta = lhs_zero_poisoned_engine()
         monkeypatch.setattr(verify, "random_classes", lambda *args, **kwargs: [beta])
         ok, lines = verify.consistency_suite(engine, samples=1)
         assert not ok
@@ -711,6 +723,62 @@ class TestConsistencyMutations:
             "lhs * 1 (engine value) = 0"
         )
         assert lines[-1] == "consistency: 1 classes, DISAGREEMENTS FOUND"
+
+    def test_mirrored_tuples_stay_antisymmetric_on_a_poisoned_half(self):
+        # consistency_check fills R2 and R3 at b > c by negating (a, c, b[, d]);
+        # that must hold for any splitting data, a poisoned N among them
+        engine = GWEngine()
+        beta, half = DivisorClass(4, (1, 1, 1)), DivisorClass(2, (1, 0, 0))
+        assert any(b1 == half for b1, _ in engine.splittings(beta))
+        assert engine.consistency_check(beta).consistent
+        engine._memo[blown_down_form(half)] += 1
+        surface = SurfaceModel(3)
+        basis = (surface.line(), *(surface.exceptional(i) for i in range(3)))
+        evaluator = RelationEvaluator(beta, basis, engine._splitting_data(beta))
+        unmirrored = []
+        for name, (arity, low) in RELATIONS.items():
+            if evaluator.delta < low:
+                continue
+            for ins in every_tuple(arity, len(basis)):
+                if name != "R1":
+                    swapped = (ins[0], ins[2], ins[1], *ins[3:])
+                    assert evaluator.lhs(name, swapped) == -evaluator.lhs(name, ins)
+                    assert evaluator.rhs(name, swapped) == -evaluator.rhs(name, ins)
+                relation = evaluator.relation(name, ins)
+                if relation.lhs_coeff or relation.rhs:
+                    unmirrored.append(relation)
+        report = engine.consistency_check(beta)
+        assert report.relations == unmirrored
+        assert report.disagreements() == [r for r in unmirrored if r.lhs_coeff * report.value != r.rhs]
+        assert report.disagreements()
+
+
+class TestFactorisedSums:
+    """`consistency_check`'s dot products equal `pool_relations`' row-by-row sums, tuple by tuple."""
+
+    @staticmethod
+    def same_relations(engine, beta):
+        def basis_tuples(arity, n):
+            return every_tuple(arity, beta.k + 1)  # divisor_pool opens with L, E_1, ..., E_k
+
+        expected = pool_relations(engine, beta, basis_tuples, keep_zero_lhs=True)
+        report = engine.consistency_check(beta)
+        assert [(r.name, r.divisors, r.lhs_coeff, r.rhs) for r in report.relations] == expected, str(beta)
+        return expected
+
+    def test_seed_0_classes(self):
+        engine = GWEngine()
+        classes = verify.random_classes(random.Random(0), 20, k_max=4, delta_max=10, engine=engine)
+        assert sum(len(self.same_relations(engine, beta)) for beta in classes) > 0
+
+    def test_k8_class(self):
+        assert self.same_relations(GWEngine(), DivisorClass(6, (2,) * 8))
+
+    def test_lhs_zero_tuples_of_a_poisoned_splitting(self):
+        # every relation on 1;1 reads lhs = 0, so this compares the rhs = 0 rule alone
+        engine, beta = lhs_zero_poisoned_engine()
+        relations = self.same_relations(engine, beta)
+        assert relations and all(lhs == 0 != rhs for _, _, lhs, rhs in relations)
 
 
 class TestDivisorPool:
