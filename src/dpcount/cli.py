@@ -1,8 +1,8 @@
 """Command-line front end: single-class queries, table sweeps, verification.
 
 Classes are written `d;m1,...,mk` (k is inferred from the list length, `3;`
-is the plane cubic class).  Exit codes: 0 success, 1 computation failure,
-2 usage error.
+is the plane cubic class).  Exit codes: 0 success, 1 computation failure or
+an unusable cache path, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import product
 
 from .cusp import c_beta
@@ -105,6 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--k", type=int, required=True)
 
     return parser
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built by `build_parser` on the first call, then shared.
+
+    argparse keeps no state between `parse_args` calls, so a caller that runs
+    `main` many times in one process builds the parser once; importing this
+    module builds none.
+    """
+    return build_parser()
 
 
 def sweep_classes(k: int, dmax: int, mmax: int | None):
@@ -211,14 +223,22 @@ _COMMANDS = {
 }
 
 
+def _cache_error(action: str, path: str, exc: OSError) -> int:
+    print(f"error: cannot {action} cache {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     cache_path = args.cache_path or os.environ.get(CACHE_ENV_VAR)
     engine = GWEngine()
     if cache_path:
-        for problem in engine.load_cache(cache_path):
+        try:
+            problems = engine.load_cache(cache_path)
+        except OSError as exc:  # a directory or an unreadable file; a missing one holds no rows
+            return _cache_error("read", cache_path, exc)
+        for problem in problems:
             print(problem, file=sys.stderr)
     known = engine.memo_size
 
@@ -229,7 +249,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if cache_path and engine.memo_size > known:  # a pure hit leaves the file as it is
-        engine.save_cache(cache_path)
+        try:
+            engine.save_cache(cache_path)
+        except OSError as exc:  # e.g. its directory does not exist; stdout is already written
+            return _cache_error("write", cache_path, exc)
     return code
 
 

@@ -556,14 +556,14 @@ class GWEngine:
         """Merge a cache file into the memo; returns reports for skipped lines.
 
         Each row must hold a canonical (non-increasing) class and is filed
-        under its key `blown_down_form`: N is Weyl-invariant and blow-down
-        invariant, so rows that older versions wrote for unreduced or
-        unstripped classes stay valid.  A row may hold a class of lower k
-        than the queries it answers.
+        under its key `blown_down_form`, a later row over an earlier one, so
+        rows that older versions wrote for unreduced or unstripped classes
+        load under their key.  Undecodable bytes corrupt a line; a missing file
+        holds no rows, and any other `OSError` (a directory at `path`) propagates.
         """
         problems: list[str] = []
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 lines = fh.read().splitlines()
         except FileNotFoundError:
             return problems
@@ -578,7 +578,7 @@ class GWEngine:
                 beta = parse_class_literal(parts[2])
                 if beta.k != k:
                     raise ValueError(f"k column {k} disagrees with literal {parts[2]}")
-                if any(a < b for a, b in zip(beta.m, beta.m[1:])):
+                if list(beta.m) != sorted(beta.m, reverse=True):
                     raise ValueError("m entries not in canonical (non-increasing) order")
                 value = int(parts[3])
                 if value < 0:

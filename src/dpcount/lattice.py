@@ -260,9 +260,8 @@ def parse_class_literal(text: str) -> DivisorClass:
         raise ValueError(
             f"malformed class literal {text!r}; expected `d;m1,...,mk`, e.g. `4;1,1,0`"
         )
-    d = int(match.group(1))
-    m = tuple(int(part) for part in match.group(2).split(",")) if match.group(2) else ()
-    return DivisorClass(d, m)
+    d, m = match.groups()
+    return DivisorClass(int(d), tuple(map(int, m.split(","))) if m else ())
 
 
 def format_class_literal(beta: DivisorClass) -> str:

@@ -10,7 +10,7 @@ import random
 from itertools import combinations, combinations_with_replacement
 
 from .cusp import c_beta
-from .gw import GWEngine
+from .gw import CACHE_ENV_VAR, GWEngine
 from .lattice import DivisorClass, canonical_form, cremona_image, delta
 
 # Plane curve counts: rational degree-d curves through 3d - 1 points.
@@ -194,10 +194,38 @@ def cremona_suite(
     return ok, lines
 
 
+def cache_suite(engine: GWEngine, samples: int = 20, seed: int = 0) -> tuple[bool, list[str]]:
+    """Cached values must equal fresh ones: recompute a seeded sample of the engine's memo.
+
+    From the CLI the engine holds exactly the rows loaded from `--cache-path`
+    when the suite starts.  Each sampled key is recomputed by a new
+    `GWEngine` without a cache; with at most `samples` rows, every row is
+    checked.  No rows at all is a failure, since nothing was verified.
+    """
+    rows = list(engine._memo.items())
+    if not rows:
+        return False, [f"cache: no rows loaded; give --cache-path or set {CACHE_ENV_VAR}"]
+    if len(rows) > samples:
+        rows = random.Random(seed).sample(rows, samples)
+    fresh = GWEngine()
+    lines = []
+    for key, cached in rows:
+        value = fresh.n_beta(key)
+        if value != cached:
+            lines.append(f"FAIL {key}: cached {cached}, fresh {value}")
+    ok = not lines
+    lines.append(
+        f"cache: {len(rows)} of {engine.memo_size} rows recomputed, "
+        f"{'all agree' if ok else 'DISAGREEMENTS FOUND'}"
+    )
+    return ok, lines
+
+
 SUITES = {
     "classical": classical_suite,
     "consistency": consistency_suite,
     "symmetry": symmetry_suite,
     "blowup": blowup_suite,
     "cremona": cremona_suite,
+    "cache": cache_suite,
 }

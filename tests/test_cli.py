@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from dpcount import verify
+from dpcount import cli, verify
 from dpcount.cli import ResultRecord, build_parser, main, parse_class, sweep_classes
+from dpcount.gw import GWEngine
 from dpcount.lattice import DivisorClass
 
 
@@ -191,6 +192,34 @@ class TestCacheEnvVar:
         assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
 
 
+class TestUnusableCachePath:
+    """A cache path that cannot be read or written ends in one `error:` line and exit code 1."""
+
+    def test_directory(self, capsys, tmp_path):
+        assert main(["--cache-path", str(tmp_path), "nbeta", "4;"]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read cache {tmp_path}: Is a directory\n")
+
+    def test_missing_directory(self, capsys, tmp_path):
+        cache = tmp_path / "absent" / "cache.tsv"
+        assert main(["--cache-path", str(cache), "nbeta", "4;"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "N=620\n"
+        assert captured.err == f"error: cannot write cache {cache}: No such file or directory\n"
+        assert not cache.parent.exists()
+
+    def test_lines_that_are_not_utf8_are_skipped_and_not_merged(self, capsys, tmp_path):
+        cache = tmp_path / "cache.tsv"
+        cache.write_bytes(b"v1\t0\t3;\t12\nv1\t0\t7;\t1461\xff\n\xfe\xfe\n")
+        assert main(["--cache-path", str(cache), "nbeta", "5;"]) == 0  # a miss: the file is rewritten
+        out, err = capsys.readouterr()
+        assert out == "N=87304\n"
+        assert [line.split(": ")[0] for line in err.splitlines()] == [f"{cache}:2", f"{cache}:3"]
+        assert all("skipped corrupted cache line" in line for line in err.splitlines())
+        rows = cache.read_text(encoding="utf-8").splitlines()
+        assert "v1\t0\t3;\t12" in rows and "v1\t0\t5;\t87304" in rows
+        assert not any(row.startswith("v1\t0\t7;") for row in rows)
+
+
 class TestVerifyCommand:
     def test_classical_suite_passes(self, capsys):
         assert main(["verify", "--suite", "classical"]) == 0
@@ -213,6 +242,36 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == "consistency: 200 classes, all relations agree\n"
         assert k_max == [8]
 
+    def test_cache_suite_names_a_wrong_row(self, capsys, tmp_path):
+        cache = tmp_path / "cache.tsv"
+        cache.write_text("v1\t0\t3;\t999999\nv1\t0\t4;\t620\nv1\t1\t5;2\t18132\n")
+        before = cache.read_bytes()
+        assert main(["--cache-path", str(cache), "verify", "--suite", "cache"]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL 3;: cached 999999, fresh 12\n"
+            "cache: 3 of 3 rows recomputed, DISAGREEMENTS FOUND\n"
+        )
+        assert cache.read_bytes() == before
+
+    def test_cache_suite_passes_on_a_clean_cache(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache.tsv")
+        assert main(["--cache-path", cache, "table", "--k", "1", "--dmax", "4"]) == 0
+        capsys.readouterr()
+        assert main(["--cache-path", cache, "verify", "--suite", "cache"]) == 0
+        assert capsys.readouterr().out.endswith("rows recomputed, all agree\n")
+
+    def test_cache_suite_samples_a_large_cache(self):
+        engine = GWEngine()
+        for d in range(1, 6):
+            engine.n_beta(DivisorClass(d, ()))
+        ok, lines = verify.cache_suite(engine, samples=2)
+        assert ok and lines == [f"cache: 2 of {engine.memo_size} rows recomputed, all agree"]
+
+    def test_cache_suite_without_rows_fails(self, capsys, monkeypatch):
+        monkeypatch.delenv("DPCOUNT_CACHE", raising=False)
+        assert main(["verify", "--suite", "cache"]) == 1
+        assert capsys.readouterr().out.startswith("cache: no rows loaded")
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
@@ -225,3 +284,37 @@ class TestParser:
         assert args.format == "tsv"
         assert args.jobs == 1
         assert args.cache_path is None
+
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        assert build_parser() is not build_parser()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["nbeta"], ["nbeta", "3;1"]),  # a usage error, then a valid call
+            (["--format", "json", "nbeta", "4;"], ["nbeta", "4;"]),
+            (["--cache-path", "{cache}", "nbeta", "4;"], ["nbeta", "5;"]),
+            (["--help"], ["seeds", "--k", "1"]),
+        ],
+    )
+    def test_shared_parser_prints_what_a_new_parser_prints(
+        self, capsys, monkeypatch, tmp_path, first, second
+    ):
+        monkeypatch.delenv("DPCOUNT_CACHE", raising=False)
+
+        def run(tag):
+            cache = tmp_path / f"{tag}.tsv"
+            calls = []
+            for argv in (first, second):
+                try:
+                    code = main([arg.format(cache=cache) for arg in argv])
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                calls.append((code, *capsys.readouterr()))
+            rows = cache.read_text() if cache.exists() else None
+            return calls, rows
+
+        assert cli._parser() is cli._parser()
+        shared = run("shared")
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        assert run("new") == shared

@@ -836,6 +836,46 @@ class TestCache:
         assert len(problems) == 5
         assert eng._memo == {P(2): 1}
 
+    def test_edge_rows_load_as_older_versions_did(self, tmp_path):
+        # recorded on the loader before its rows were parsed with map(int, ...)
+        # and one sorted() comparison: int() takes spaces and a + sign, the
+        # literal takes neither a + nor more than 8 entries
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(
+            b"v1\t0\t 6; \t26312976\n"        # spaces around the literal
+            b"v1\t0\t2;\t 1 \n"               # spaces around the count
+            b"v1\t 1 \t5;2\t+18132\n"         # a + sign on the count
+            b"v1\t2\t+6;2,2\t1\n"             # a + sign in the literal
+            b"v1\t9\t2;1,1,1,1,1,1,1,1,1\t0\n"  # 9 entries
+            b"v1\t0\t3;\t12\n"
+            b"v1\t1\t3;\t12\n"                # k column disagrees with the literal
+            b"v1\t3\t2;1,1,1\t1\n"            # unreduced: filed under 1;
+            b"v1\t4\t4;1,1,1,0\t620\n"        # unstripped: filed under 4;
+            b"v1\t0\t5;\t1\n"
+            b"v1\t1\t5;1\t87304\n"            # the same key again: this row wins
+            b"v1\t0\t7;\t14616808192\r\n"    # a trailing \r
+        )
+        eng = GWEngine()
+        problems = eng.load_cache(path)
+        assert problems == [
+            f"{path}:{lineno}: skipped corrupted cache line ({reason})"
+            for lineno, reason in [
+                (4, "malformed class literal '+6;2,2'; expected `d;m1,...,mk`, e.g. `4;1,1,0`"),
+                (5, "blow-up count k=9 is outside the allowed range 0..8"),
+                (7, "k column 1 disagrees with literal 3;"),
+            ]
+        ]
+        assert eng._memo == {
+            P(6): 26312976,
+            P(2): 1,
+            DivisorClass(5, (2,)): 18132,
+            P(3): 12,
+            P(1): 1,
+            P(4): 620,
+            P(5): 87304,
+            P(7): 14616808192,
+        }
+
     def test_writers_sharing_a_path_keep_each_others_rows(self, tmp_path):
         path = tmp_path / "cache.tsv"
         first, second = GWEngine(), GWEngine()
