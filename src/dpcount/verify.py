@@ -194,19 +194,22 @@ def cremona_suite(
     return ok, lines
 
 
-def cache_suite(engine: GWEngine, samples: int = 20, seed: int = 0) -> tuple[bool, list[str]]:
+_CACHE_SAMPLES = 20
+
+
+def cache_suite(engine: GWEngine) -> tuple[bool, list[str]]:
     """Cached values must equal fresh ones: recompute a seeded sample of the engine's memo.
 
     From the CLI the engine holds exactly the rows loaded from `--cache-path`
     when the suite starts.  Each sampled key is recomputed by a new
-    `GWEngine` without a cache; with at most `samples` rows, every row is
+    `GWEngine` without a cache; with at most `_CACHE_SAMPLES` rows, every row is
     checked.  No rows at all is a failure, since nothing was verified.
     """
     rows = list(engine._memo.items())
     if not rows:
         return False, [f"cache: no rows loaded; give --cache-path or set {CACHE_ENV_VAR}"]
-    if len(rows) > samples:
-        rows = random.Random(seed).sample(rows, samples)
+    if len(rows) > _CACHE_SAMPLES:
+        rows = random.Random(0).sample(rows, _CACHE_SAMPLES)
     fresh = GWEngine()
     lines = []
     for key, cached in rows:

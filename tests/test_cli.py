@@ -262,10 +262,17 @@ class TestVerifyCommand:
 
     def test_cache_suite_samples_a_large_cache(self):
         engine = GWEngine()
-        for d in range(1, 6):
+        for d in range(1, 8):
             engine.n_beta(DivisorClass(d, ()))
-        ok, lines = verify.cache_suite(engine, samples=2)
-        assert ok and lines == [f"cache: 2 of {engine.memo_size} rows recomputed, all agree"]
+        for d in range(1, 6):
+            for a in range(d + 1):
+                for b in range(a + 1):
+                    engine.n_beta(DivisorClass(d, (a, b)))
+        assert engine.memo_size > verify._CACHE_SAMPLES
+        ok, lines = verify.cache_suite(engine)
+        assert ok and lines == [
+            f"cache: {verify._CACHE_SAMPLES} of {engine.memo_size} rows recomputed, all agree"
+        ]
 
     def test_cache_suite_without_rows_fails(self, capsys, monkeypatch):
         monkeypatch.delenv("DPCOUNT_CACHE", raising=False)
