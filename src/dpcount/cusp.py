@@ -40,41 +40,49 @@ def _first_factor(beta: DivisorClass) -> Fraction:
     return Fraction(3 + beta.k) - Fraction(9 - beta.k, deg)
 
 
+def _boundary_factor(db: int, d1: int) -> Fraction:
+    """C(D-1, d1) * (deg1 * deg2 / (2 deg) - 1): a splitting's term over N1 * N2 * (beta1.beta2).
+
+    D = delta(beta) and d1 = delta(beta1); the anticanonical degrees are
+    deg = D + 1, deg1 = d1 + 1 and deg2 = D - d1, as delta1 + delta2 = D - 1.
+    """
+    return comb0(db - 1, d1) * (Fraction((d1 + 1) * (db - d1), 2 * (db + 1)) - 1)
+
+
 def splitting_term(
     engine: GWEngine, beta: DivisorClass, beta1: DivisorClass, beta2: DivisorClass
 ) -> Fraction:
-    """Contribution of one ordered splitting beta1 + beta2 = beta."""
+    """Contribution of one ordered splitting beta1 + beta2 = beta, with N read through `n_beta`.
+
+    `c_beta` sums the same terms over the orbit rows of the N solve; this is
+    the term of one pair, for reference sums over `GWEngine.splittings`."""
     if beta1 + beta2 != beta:
         raise ValueError(f"{beta1} + {beta2} is not a splitting of {beta}")
     if beta1.is_zero() or beta2.is_zero():
         raise ValueError("splitting halves must be nonzero")
-    weight = (
-        comb0(delta(beta) - 1, delta(beta1))
-        * engine.n_beta(beta1)
-        * engine.n_beta(beta2)
-        * intersect(beta1, beta2)
-    )
-    bracket = Fraction(
-        beta1.anticanonical_degree() * beta2.anticanonical_degree(),
-        2 * beta.anticanonical_degree(),
-    ) - 1
-    return weight * bracket
+    weight = engine.n_beta(beta1) * engine.n_beta(beta2) * intersect(beta1, beta2)
+    return weight * _boundary_factor(delta(beta), delta(beta1))
 
 
 def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
-    """Number of rational beta-curves through delta(beta) - 1 points with a cusp."""
+    """Number of rational beta-curves through delta(beta) - 1 points with a cusp.
+
+    The first term is `_first_factor(beta) * N(beta)`.  The boundary term is
+    the sum of `splitting_term` over the ordered splittings, taken over the
+    orbit rows of the N solve, one Fraction per distinct delta(beta1).  Both
+    stay Fractions; their sum must be an integer, or the count raises."""
     if any(mi < 0 for mi in beta.m):
         raise ValueError(f"class {beta} has a negative multiplicity; all m_i >= 0 required")
-    if delta(beta) < 1:
-        raise ValueError(f"class {beta} has delta = {delta(beta)} < 1")
+    db = delta(beta)
+    if db < 1:
+        raise ValueError(f"class {beta} has delta = {db} < 1")
     n = engine.n_beta(beta)  # c_beta's domain keeps deg >= 2, so _first_factor cannot raise
     ft = _first_factor(beta) * n
     # the boundary sum is the same for every permutation of beta, so it is
-    # kept per canonical class, and each stabiliser orbit of splittings
-    # counts once, weighted by its size; splittings with a vanishing half
-    # contribute 0, so the filtered sum agrees with the unrestricted one.
-    # An orbit listed with its swap counts twice: splitting_term is symmetric,
-    # as delta1 + delta2 = delta - 1 gives C(delta-1, delta1) = C(delta-1, delta2).
+    # kept per canonical class.  Its rows (half, w, delta1) are the N solve's,
+    # `GWEngine._orbit_data`: w = size * N1 * N2 * (beta1.beta2) per stabiliser
+    # orbit, a swapped orbit is a row of its own, and rows with a vanishing
+    # half are dropped, as their terms are 0.
     # It is not keyed by the Weyl-reduced class, as N is: the formula is not
     # invariant at the domain edge, where a class such as 2;2,2 reduces to
     # one with a negative m_i, so a reduced key would change which table
@@ -82,13 +90,10 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     key = canonical_form(beta)
     bt = engine.cusp_boundary.get(key)
     if bt is None:
-        bt = sum(
-            (
-                (2 * size if swap else size) * splitting_term(engine, key, b1, b2)
-                for b1, b2, size, swap in engine.splitting_orbits(key)
-            ),
-            Fraction(0),
-        )
+        weights: dict[int, int] = {}
+        for _, w, d1 in engine._orbit_data(key):
+            weights[d1] = weights.get(d1, 0) + w
+        bt = sum((w * _boundary_factor(db, d1) for d1, w in weights.items()), Fraction(0))
         engine.cusp_boundary[key] = bt
     total = ft + bt
     if total.denominator != 1:

@@ -337,16 +337,15 @@ class GWEngine:
 
     # ------------------------------------------------------------ splittings
 
-    def splitting_orbits(
-        self, beta: DivisorClass
-    ) -> tuple[tuple[DivisorClass, DivisorClass, int, bool], ...]:
-        """(beta1, beta2, orbit size, swap) per unordered stabiliser orbit of `splittings(beta)`.
+    def _orbit_rows(self, beta: DivisorClass) -> tuple[tuple, ...]:
+        """Rows ((d1, m1), (d2, m2), orbit size, swap) of ints, one per unordered stabiliser
+        orbit of `splittings(beta)`, cached per class.
 
         The stabiliser of beta permutes positions that hold equal m_i and acts
         on a pair by permuting both halves.  An orbit is represented by the
-        pair whose beta1 has non-increasing entries over every such block, and
+        pair whose m1 has non-increasing entries over every such block, and
         weighted by its number of ordered pairs.  `swap` says that the swapped
-        orbit (beta2, beta1), of the same size, stands here too: so for the
+        orbit (half2, half1), of the same size, stands here too: so for the
         E_i halves (at d = 0 as well, where beta - E_i is enumerated apart)
         and for degrees 0 < d1 < d/2; at d1 = d/2 each orbit is listed itself.
         Halves of degree d1 >= 1 come from `_viable_multiplicities`, with
@@ -354,12 +353,6 @@ class GWEngine:
         test is left, as delta = 0 means -K.h = 1 and odd h^2 = 2g - 1 >= -1,
         so by Hodge index h is a (-1)-class or, at k = 8, -K: a seed.
         """
-        return tuple(
-            (DivisorClass(*h1), DivisorClass(*h2), size, swap) for h1, h2, size, swap in self._orbit_rows(beta)
-        )
-
-    def _orbit_rows(self, beta: DivisorClass) -> tuple[tuple, ...]:
-        """`splitting_orbits(beta)` as rows ((d1, m1), (d2, m2), size, swap) of ints, cached per class."""
         if beta in self._orbits:
             return self._orbits[beta]
         k, d, m = beta.k, beta.d, beta.m
@@ -375,7 +368,7 @@ class GWEngine:
     def splittings(self, beta: DivisorClass) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
         """All ordered pairs beta1 + beta2 = beta with both halves viable, sorted by beta1.
 
-        The orbits of `splitting_orbits` and their swaps, expanded, for probe
+        The orbits of `_orbit_rows` and their swaps, expanded, for probe
         divisors that are not stabiliser invariant, as in `consistency_check`."""
         pairs = [
             (DivisorClass(hd, m1), DivisorClass(beta.d - hd, tuple(map(sub, beta.m, m1))))
@@ -388,7 +381,10 @@ class GWEngine:
 
     def _orbit_data(self, beta: DivisorClass) -> list[tuple]:
         """Evaluator rows (half1, size*N1*N2*(beta1.beta2), delta(beta1)) over beta's orbits,
-        and (half2, ...) too with `swap`; zeros dropped, N per half from `_half_n`."""
+        and (half2, ...) too with `swap`; zeros dropped, N per half from `_half_n`.
+
+        The R1, R2 and R3 solves of N and the cusp boundary sum of `cusp.c_beta` read these rows;
+        N2 is not looked up when N1 = 0."""
         get, lookup = self._half_n.get, self._half_value
         top = delta(beta) - 1  # delta(beta1) + delta(beta2)
         data = []
@@ -438,10 +434,6 @@ class GWEngine:
         """Insertion pattern (pt, pt, A, B); needs delta(beta) >= 3."""
         return self._relation("R1", beta, (a, b))
 
-    def _relation_r1(self, beta, a, b, data) -> WDVVRelation:
-        """R1 summed over `data`: the whole splitting list, or orbits when a, b are stabiliser invariant."""
-        return RelationEvaluator(beta, (a, b), data).relation("R1", (0, 1))
-
     def relation_r2(self, beta, a, b, c) -> WDVVRelation:
         """Insertion pattern (A, B, C, pt); needs delta(beta) >= 2."""
         return self._relation("R2", beta, (a, b, c))
@@ -466,15 +458,15 @@ class GWEngine:
             value = seed
         elif self.quick_vanishing(key):
             value = 0
+        elif delta(key) >= 3:
+            mk = SurfaceModel(key.k).anticanonical()
+            # -K is fixed by every permutation of the m_i, so the sum runs
+            # over stabiliser orbits; the lhs coefficient is
+            # (-K).(-K) = 9 - k >= 1, never degenerate
+            evaluator = RelationEvaluator(key, (mk, mk), self._orbit_data(key))
+            value = evaluator.relation("R1", (0, 1)).solve()
         else:
-            if delta(key) >= 3:
-                mk = SurfaceModel(key.k).anticanonical()
-                # -K is fixed by every permutation of the m_i, so the sum runs
-                # over stabiliser orbits; the lhs coefficient is
-                # (-K).(-K) = 9 - k >= 1, never degenerate
-                value = self._relation_r1(key, mk, mk, self._orbit_data(key)).solve()
-            else:
-                value = self._solve_low_delta(key)
+            value = self._solve_low_delta(key)
         if value < 0:
             raise InconsistentRelationError(f"negative count {value} for {key}")
         self._memo[key] = value
@@ -511,21 +503,18 @@ class GWEngine:
 
     # ------------------------------------------------------------ diagnostics
 
-    def consistency_check(self, beta: DivisorClass, pool_size: int | None = None) -> ConsistencyReport:
+    def consistency_check(self, beta: DivisorClass) -> ConsistencyReport:
         """Check lhs * N_beta = rhs, lhs = 0 included, for each relation beta's delta admits.
 
-        The insertions run over every tuple of the basis L, E_1, ..., E_k, or of
-        its first `pool_size` members (1..k+1).  Both sides are multilinear in
-        the insertions and every class is an integer combination of the basis,
-        so when all of these hold, every nondegenerate relation on any divisors,
-        `divisor_pool`'s among them, implies the engine value.  The report lists
-        the tuples that do not read 0 = 0."""
+        The insertions run over every tuple of the basis L, E_1, ..., E_k.  Both
+        sides are multilinear in the insertions and every class is an integer
+        combination of the basis, so when all of these hold, every nondegenerate
+        relation on any divisors, `divisor_pool`'s among them, implies the
+        engine value.  The report lists the tuples that do not read 0 = 0."""
         surface = SurfaceModel(beta.k)
         basis = (surface.line(), *(surface.exceptional(i) for i in range(beta.k)))
-        if pool_size is not None and not 1 <= pool_size <= len(basis):
-            raise ValueError(f"pool_size {pool_size} is outside 1..{len(basis)}, the basis L, E_1..E_k")
         value = self.n_beta(beta)
-        evaluator = RelationEvaluator(beta, basis[:pool_size], self._splitting_data(beta))
+        evaluator = RelationEvaluator(beta, basis, self._splitting_data(beta))
         report = ConsistencyReport(beta=beta, value=value)
         for name, (arity, low) in RELATIONS.items():
             if evaluator.delta < low:
@@ -558,8 +547,10 @@ class GWEngine:
         Each row must hold a canonical (non-increasing) class and is filed
         under its key `blown_down_form`, a later row over an earlier one, so
         rows that older versions wrote for unreduced or unstripped classes
-        load under their key.  Undecodable bytes corrupt a line; a missing file
-        holds no rows, and any other `OSError` (a directory at `path`) propagates.
+        load under their key.  Undecodable bytes, any other non-ASCII character
+        and a _ corrupt a line; ASCII spaces and a + sign around a number are
+        read as `int` reads them.  A missing file holds no rows, and any other
+        `OSError` (a directory at `path`) propagates.
         """
         problems: list[str] = []
         try:
@@ -574,6 +565,9 @@ class GWEngine:
             try:
                 if len(parts) != 4 or parts[0] != CACHE_VERSION:
                     raise ValueError("bad record shape or version")
+                # int() also reads non-ASCII digits and _ separators, which save_cache never writes
+                if not line.isascii() or "_" in line:
+                    raise ValueError("non-ASCII character or _ in the row")
                 k = int(parts[1])
                 beta = parse_class_literal(parts[2])
                 if beta.k != k:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 MAX_BLOWUPS = 8
 
-_LITERAL_RE = re.compile(r"^(-?\d+);((?:-?\d+)(?:,-?\d+)*)?$")
+_LITERAL_RE = re.compile(r"^(-?\d+);((?:-?\d+)(?:,-?\d+)*)?$", re.ASCII)  # \d is 0-9 only
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,11 @@ def random_classes(
     count: int,
     k_max: int = 4,
     delta_max: int = 10,
-    require_nonvanishing: bool = True,
-    engine: GWEngine | None = None,
+    *,
+    engine: GWEngine,
 ) -> list[DivisorClass]:
-    """Deterministic sample of admissible classes (m_i >= 0, 1 <= delta <= delta_max)."""
-    probe = engine or GWEngine()
+    """Deterministic sample of admissible classes (m_i >= 0, 1 <= delta <= delta_max) that
+    `engine.quick_vanishing` does not rule out."""
     out: list[DivisorClass] = []
     attempts = 0
     while len(out) < count and attempts < 100000:
@@ -65,7 +65,7 @@ def random_classes(
         beta = DivisorClass(d, m)
         if not 1 <= delta(beta) <= delta_max:
             continue
-        if require_nonvanishing and probe.quick_vanishing(canonical_form(beta)):
+        if engine.quick_vanishing(canonical_form(beta)):
             continue
         out.append(beta)
     if len(out) < count:

@@ -105,10 +105,17 @@ class TestCBeta:
 
 class TestPermutations:
     def test_every_permutation_matches_its_own_ordered_sum(self):
-        # the boundary term is summed once per canonical class over stabiliser
-        # orbits; each permutation must still get its own full ordered sum
+        # the boundary term is summed once per canonical class over the orbit
+        # rows of the N solve; each permutation must still get its own full
+        # ordered sum.  The d = 7 classes lie outside the pinned C digest
         engine = GWEngine()
-        for beta in (DivisorClass(5, (2, 1, 1, 0)), DivisorClass(6, (3, 2, 2, 1, 1))):
+        classes = (
+            DivisorClass(5, (2, 1, 1, 0)),
+            DivisorClass(6, (3, 2, 2, 1, 1)),
+            DivisorClass(7, (3, 2, 2, 2, 2, 2, 2, 2)),
+            DivisorClass(7, (2, 2, 2, 1, 1, 0)),
+        )
+        for beta in classes:
             results = set()
             for m in sorted(set(permutations(beta.m))):
                 perm = DivisorClass(beta.d, m)
@@ -121,10 +128,9 @@ class TestPermutations:
                 assert result.first_term == first_term(engine, perm), perm
                 results.add((result.value, result.first_term, result.boundary_term, result.valid))
             assert len(results) == 1, beta
-        assert list(engine.cusp_boundary) == [
-            DivisorClass(5, (2, 1, 1, 0)),
-            DivisorClass(6, (3, 2, 2, 1, 1)),
-        ]
+        assert list(engine.cusp_boundary) == list(classes)
+        # a boundary term that is not an integer on its own: deg = delta + 1 = 13
+        assert engine.cusp_boundary[DivisorClass(7, (2, 2, 2, 1, 1, 0))].denominator == 13
 
     def test_warnings_name_the_class_passed_in(self, engine):
         for m in permutations((2, 1, 0)):

@@ -200,7 +200,7 @@ class CanonicalKeyEngine(GWEngine):
             value = 0
         elif delta(key) >= 3:
             mk = SurfaceModel(key.k).anticanonical()
-            value = self._relation_r1(key, mk, mk, self._orbit_data(key)).solve()
+            value = RelationEvaluator(key, (mk, mk), self._orbit_data(key)).relation("R1", (0, 1)).solve()
         else:
             value = pool_solve_low_delta(self, key)
         self._memo[key] = value
@@ -310,16 +310,18 @@ class TestSplittings:
 
 
 class TestSplittingOrbits:
+    """`GWEngine._orbit_rows`: one row ((d1, m1), (d2, m2), size, swap) of ints per stabiliser orbit."""
+
     def test_plane_quartic(self, engine):
         # (3L, L) is the swap of (L, 3L); (2L, 2L) is its own
-        assert engine.splitting_orbits(P(4)) == ((P(1), P(3), 1, True), (P(2), P(2), 1, False))
+        assert engine._orbit_rows(P(4)) == (((1, ()), (3, ()), 1, True), ((2, ()), (2, ()), 1, False))
 
     def test_weights_are_block_multinomials(self, engine):
         # the E_i halves of 3L - E1 - ... - E4 form one orbit of size 4
         beta = DivisorClass(3, (1, 1, 1, 1))
-        orbits = {b1: size for b1, _, size, _ in engine.splitting_orbits(beta)}
-        assert orbits[SurfaceModel(4).exceptional(0)] == 4
-        assert orbits[DivisorClass(1, (1, 1, 0, 0))] == 6
+        orbits = {h1: size for h1, _, size, _ in engine._orbit_rows(beta)}
+        assert orbits[(0, (-1, 0, 0, 0))] == 4
+        assert orbits[(1, (1, 1, 0, 0))] == 6
 
     def test_canonical_orbits_cover_the_ordered_splittings(self, engine):
         # each listed orbit, and its swap when flagged, expands to exactly
@@ -331,34 +333,35 @@ class TestSplittingOrbits:
         canonical.update(canonical_form(b) for b in large_classes())
         for beta in sorted(canonical, key=lambda b: (b.k, b.d, b.m)):
             pairs = engine.splittings(beta)
-            orbits = engine.splitting_orbits(beta)
+            int_pairs = [((b1.d, b1.m), (b2.d, b2.m)) for b1, b2 in pairs]
             expanded = Counter()
-            for b1, b2, size, swap in orbits:
-                assert (b1, b2) in pairs and (not swap or (b2, b1) in pairs), beta
-                for half in (b1, b2) if swap else (b1,):
-                    members = _orbit(beta.m, half.m)
-                    assert len(members) == size, (str(beta), str(half))
-                    expanded.update((half.d, m1) for m1 in members)
-            assert expanded == Counter((b1.d, b1.m) for b1, _ in pairs), beta
+            for h1, h2, size, swap in engine._orbit_rows(beta):
+                assert (h1, h2) in int_pairs and (not swap or (h2, h1) in int_pairs), beta
+                for half in (h1, h2) if swap else (h1,):
+                    members = _orbit(beta.m, half[1])
+                    assert len(members) == size, (str(beta), half)
+                    expanded.update((half[0], m1) for m1 in members)
+            assert expanded == Counter(h1 for h1, _ in int_pairs), beta
             if beta.d != 0:
                 assert len(set(pairs)) == len(pairs), beta
             if delta(beta) >= 3:
                 mk = SurfaceModel(beta.k).anticanonical()
-                orbit_rhs = engine._relation_r1(beta, mk, mk, engine._orbit_data(beta)).rhs
+                evaluator = RelationEvaluator(beta, (mk, mk), engine._orbit_data(beta))
+                orbit_rhs = evaluator.relation("R1", (0, 1)).rhs
                 assert orbit_rhs == engine.relation_r1(beta, mk, mk).rhs, beta
 
     def test_walk_weights_are_orbit_lengths_in_any_order(self, engine):
-        # splitting_orbits is public and takes m in any order, so permuted
-        # classes are checked besides the canonical ones above
+        # `splittings` is public and passes m in any order to _orbit_rows, so
+        # permuted classes are checked besides the canonical ones above
         classes = set(small_classes()) | set(large_classes())
         classes |= {canonical_form(b) for b in classes}
         classes |= {DivisorClass(b.d, b.m[::-1]) for b in large_classes()}
         for beta in classes:
-            for b1, _, size, _ in engine.splitting_orbits(beta):
-                assert size == len(_orbit(beta.m, b1.m)), (str(beta), str(b1))
+            for h1, _, size, _ in engine._orbit_rows(beta):
+                assert size == len(_orbit(beta.m, h1[1])), (str(beta), h1)
 
     def test_delta_zero_viable_halves_are_seeds(self):
-        # why splitting_orbits skips the delta = 0 seed test on the halves of
+        # why _orbit_rows skips the delta = 0 seed test on the halves of
         # _viable_multiplicities: -K.h = 1 and genus >= 0 make h a (-1)-class
         # or, at k = 8, -K (Hodge index theorem)
         classes = [
@@ -608,7 +611,7 @@ class TestRelationSolve:
 
 class TestConsistencyCheck:
     def test_plane_quartic_single_relation(self, engine):
-        report = engine.consistency_check(P(4), pool_size=1)
+        report = engine.consistency_check(P(4))
         assert report.value == 620
         assert report.consistent
         assert all(r.lhs_coeff != 0 and r.rhs == 620 * r.lhs_coeff for r in report.relations)
@@ -621,14 +624,9 @@ class TestConsistencyCheck:
         assert report.relations  # at least one nondegenerate relation exists
 
     def test_seeded_class_with_degenerate_pool(self, engine):
-        report = engine.consistency_check(DivisorClass(1, (1,)), pool_size=2)
+        report = engine.consistency_check(DivisorClass(1, (1,)))
         assert report.value == 1
         assert "seed = 1" in report.note
-
-    @pytest.mark.parametrize("pool_size", [-1, 0, 4])
-    def test_pool_size_outside_the_basis_names_the_range(self, engine, pool_size):
-        with pytest.raises(ValueError, match=r"pool_size -?\d+ is outside 1\.\.3"):
-            engine.consistency_check(DivisorClass(3, (1, 1)), pool_size=pool_size)
 
     @pytest.mark.parametrize(
         "literal", ["7;3,2,2,2,2,2,2,2", "8;2,2,2,2,2,2", "6;2,2,2,2,2,2,2,2", "9;3,3,3,3,3,3,3,3"]
@@ -640,14 +638,6 @@ class TestConsistencyCheck:
         report = GWEngine().consistency_check(parse_class_literal(literal))
         assert report.consistent
         assert any(r.lhs_coeff for r in report.relations)
-
-    def test_pool_size_takes_the_first_basis_divisors(self, engine):
-        report = engine.consistency_check(DivisorClass(3, (1, 1)), pool_size=2)
-        surface = SurfaceModel(2)
-        assert {x for r in report.relations for x in r.divisors} == {
-            surface.line(),
-            surface.exceptional(0),
-        }
 
 
 class TestConsistencyReference:
@@ -854,6 +844,12 @@ class TestCache:
             b"v1\t0\t5;\t1\n"
             b"v1\t1\t5;1\t87304\n"            # the same key again: this row wins
             b"v1\t0\t7;\t14616808192\r\n"    # a trailing \r
+            # int() reads _ separators and non-ASCII digits, which save_cache never writes
+            b"v1\t0\t6;\t1_0\n"
+            b"v1\t0_0\t4;\t620\n"
+            + "v1\t0\t4;\t\u0666\u0662\u0660\n".encode()  # 620 in Arabic-Indic digits
+            + "v1\t\u0661\t5;2\t18132\n".encode()
+            + "v1\t0\t\u0664;\t620\n".encode()
         )
         eng = GWEngine()
         problems = eng.load_cache(path)
@@ -863,6 +859,7 @@ class TestCache:
                 (4, "malformed class literal '+6;2,2'; expected `d;m1,...,mk`, e.g. `4;1,1,0`"),
                 (5, "blow-up count k=9 is outside the allowed range 0..8"),
                 (7, "k column 1 disagrees with literal 3;"),
+                *((lineno, "non-ASCII character or _ in the row") for lineno in range(13, 18)),
             ]
         ]
         assert eng._memo == {

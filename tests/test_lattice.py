@@ -258,7 +258,7 @@ class TestLiterals:
         with pytest.raises(ValueError, match=r"k=9 is outside the allowed range 0\.\.8"):
             parse_class_literal("2;1,1,1,1,1,1,1,1,1")
 
-    @pytest.mark.parametrize("text", ["", "4", ";1", "4;1,", "a;1", "4;1, 2"])
+    @pytest.mark.parametrize("text", ["", "4", ";1", "4;1,", "a;1", "4;1, 2", "\u0664;", "4;\u0661"])
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_class_literal(text)

@@ -1,7 +1,7 @@
 """Digests of N and C over every small canonical class, pinned.
 
 The digests were recorded with the engine that still enumerated both orders
-of every splitting through the walk, before `splitting_orbits` listed each
+of every splitting through the walk, before `_orbit_rows` listed each
 unordered orbit once.  Unlike `CanonicalKeyEngine`, they share no code with
 the engine under test, so an orbit that is dropped, doubled or mis-weighted
 shows here.
