@@ -222,7 +222,8 @@ class RelationEvaluator:
         self.delta = delta(beta)
         self.pair = [[intersect(x, y) for y in divisors] for x in divisors]
         self.on_beta = [intersect(x, beta) for x in divisors]
-        # per distinct divisor, so R1(-K, -K) intersects each beta1 with -K once
+        # per distinct divisor, so one inserted twice, as in relation_r1(beta, -K, -K),
+        # meets each beta1 once
         first = {x: [x.d * d1 - sum(map(mul, x.m, m1)) for (d1, m1), _, _ in data] for x in set(divisors)}
         self.halves = [
             (first[x], [xb - x1 for x1 in first[x]]) for x, xb in zip(divisors, self.on_beta)
@@ -297,11 +298,13 @@ class GWEngine:
     N is invariant under W(E_k) and under blowing down a point of
     multiplicity 0 or 1, so every class that shares a key shares one memo
     entry and one set of splitting orbits, solved on the smallest surface,
-    and the persistent cache stores keys only.  The memo is an insert-only
-    map; duplicate concurrent computation is harmless because every insert
-    for a key carries the same value.  So are the splitting orbits and the
-    cusp boundary sums that `cusp.c_beta` keeps, per canonical class, in
-    `cusp_boundary`.
+    and the persistent cache stores keys only.  A key with delta >= 3 is
+    solved by R1(L, -K), whose E_i orbits add nothing, so that solve reads N
+    of halves of lower degree only, never of beta - E_i.  The memo is an
+    insert-only map; duplicate concurrent computation is harmless because
+    every insert for a key carries the same value.  So are the splitting
+    orbits and the cusp boundary sums that `cusp.c_beta` keeps, per
+    canonical class, in `cusp_boundary`.
     """
 
     def __init__(self):
@@ -379,16 +382,20 @@ class GWEngine:
         pairs.sort(key=lambda p: (p[0].d, p[0].m))
         return tuple(pairs)
 
-    def _orbit_data(self, beta: DivisorClass) -> list[tuple]:
+    def _orbit_data(self, beta: DivisorClass, exceptional: bool = True) -> list[tuple]:
         """Evaluator rows (half1, size*N1*N2*(beta1.beta2), delta(beta1)) over beta's orbits,
         and (half2, ...) too with `swap`; zeros dropped, N per half from `_half_n`.
 
-        The R1, R2 and R3 solves of N and the cusp boundary sum of `cusp.c_beta` read these rows;
+        The R1(L, -K) solve of N reads the rows of the orbits with d1 >= 1 alone
+        (`exceptional=False`), so it never looks up N(beta - E_i); the R2 and R3
+        solves and the cusp boundary sum of `cusp.c_beta` read every row.
         N2 is not looked up when N1 = 0."""
         get, lookup = self._half_n.get, self._half_value
         top = delta(beta) - 1  # delta(beta1) + delta(beta2)
         data = []
         for h1, h2, size, swap in self._orbit_rows(beta):
+            if not (exceptional or h1[0]):
+                continue
             n1 = get(h1) or lookup(h1)
             n2 = n1 and (get(h2) or lookup(h2))
             if n2:
@@ -448,7 +455,9 @@ class GWEngine:
         """N(beta), computed and memoized once per key `blown_down_form(beta)`.
 
         Every key that is neither a seed nor `quick_vanishing` has delta >= 1
-        and every m_i >= 2."""
+        and every m_i >= 2.  Keys with delta >= 3 are solved by R1 with
+        insertions (L, -K) over the orbits with d1 >= 1, keys with delta 1 or 2
+        by `_solve_low_delta`."""
         key = blown_down_form(beta)
         cached = self._memo.get(key)
         if cached is not None:
@@ -459,11 +468,14 @@ class GWEngine:
         elif self.quick_vanishing(key):
             value = 0
         elif delta(key) >= 3:
-            mk = SurfaceModel(key.k).anticanonical()
-            # -K is fixed by every permutation of the m_i, so the sum runs
-            # over stabiliser orbits; the lhs coefficient is
-            # (-K).(-K) = 9 - k >= 1, never degenerate
-            evaluator = RelationEvaluator(key, (mk, mk), self._orbit_data(key))
+            surface = SurfaceModel(key.k)
+            # L and -K are fixed by every permutation of the m_i, so the sum
+            # runs over stabiliser orbits; the lhs coefficient is L.(-K) = 3 at
+            # every k, so the division still checks the rhs.  An E_i orbit adds
+            # nothing: delta(E_i) = 0 zeroes both weights of its row, and its
+            # swap's term carries the factor L.E_i = 0, so it is skipped
+            divisors = (surface.line(), surface.anticanonical())
+            evaluator = RelationEvaluator(key, divisors, self._orbit_data(key, exceptional=False))
             value = evaluator.relation("R1", (0, 1)).solve()
         else:
             value = self._solve_low_delta(key)

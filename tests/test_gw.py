@@ -185,7 +185,9 @@ class CanonicalKeyEngine(GWEngine):
 
     Every class of a Weyl orbit is solved on its own, through its own
     splitting orbits; all recursion stays in this engine.  Its keys are not
-    reduced, so low-delta classes go to the pool reference solver.
+    reduced, so low-delta classes go to the pool reference solver.  It
+    solves delta >= 3 by R1(-K, -K) over every orbit, E_i ones included, so it
+    also checks the engine's R1(L, -K) solve.
     """
 
     def n_beta(self, beta):
@@ -327,8 +329,8 @@ class TestSplittingOrbits:
         # each listed orbit, and its swap when flagged, expands to exactly
         # the ordered pairs of splittings(beta), each once (the d = 0 halves
         # E_i and beta - E_i are enumerated apart, as in box_splittings); with
-        # -K fixed by the stabiliser, the orbit-weighted R1(-K, -K) is the
-        # relation over the whole ordered list
+        # -K fixed by the stabiliser, the orbit-weighted R1(-K, -K) over every
+        # orbit, E_i ones included, is the relation over the whole ordered list
         canonical = {canonical_form(b) for b in small_classes()}
         canonical.update(canonical_form(b) for b in large_classes())
         for beta in sorted(canonical, key=lambda b: (b.k, b.d, b.m)):
@@ -373,6 +375,66 @@ class TestSplittingOrbits:
         classes = [b for b in classes if arithmetic_genus(b) >= 0]
         assert len(classes) == 17
         assert [str(b) for b in classes if b not in seed_classes(b.k)] == []
+
+
+class TestR1Insertions:
+    """`n_beta` solves delta >= 3 by R1(L, -K) over the orbits with d1 >= 1 alone."""
+
+    @staticmethod
+    def classes():
+        """Every canonical class with delta >= 3 of small_classes and large_classes, and 12;3^8."""
+        canonical = {canonical_form(b) for b in small_classes()}
+        canonical.update(canonical_form(b) for b in large_classes())
+        canonical.add(DivisorClass(12, (3,) * 8))
+        return sorted((b for b in canonical if delta(b) >= 3), key=lambda b: (b.k, b.d, b.m))
+
+    def test_the_e_i_orbits_add_nothing_once_l_is_inserted(self, engine):
+        # an E_i orbit gives the rows (E_i, w, 0), both of whose R1 weights are
+        # 0, and (beta - E_i, w, delta - 1), whose term is -w (a.E_i)(b.E_i)
+        dropped = changed_by_minus_k = 0
+        for beta in self.classes():
+            surface = SurfaceModel(beta.k)
+            line, mk = surface.line(), surface.anticanonical()
+            full, kept = engine._orbit_data(beta), engine._orbit_data(beta, exceptional=False)
+            # the rows of the E_i orbits are those whose half has degree 0 or d
+            assert kept == [row for row in full if 0 < row[0][0] < beta.d], beta
+            dropped += len(kept) < len(full)
+            for divisors in ((line, mk), (mk, line), (line, line)):
+                on_full = RelationEvaluator(beta, divisors, full).relation("R1", (0, 1))
+                on_kept = RelationEvaluator(beta, divisors, kept).relation("R1", (0, 1))
+                assert on_full == on_kept, (str(beta), [str(x) for x in divisors])
+            rhs = [RelationEvaluator(beta, (mk, mk), data).rhs("R1", (0, 1)) for data in (full, kept)]
+            changed_by_minus_k += rhs[0] != rhs[1]
+        # the E_i rows were there to drop, and R1(-K, -K) needs them
+        assert dropped > 0 and changed_by_minus_k > 0
+
+    def test_r1_minus_k_minus_k_over_every_orbit_agrees_with_the_solve(self, engine):
+        # R1(-K, -K) reads the E_i orbits too, so it checks the solve's value independently
+        for beta in self.classes():
+            mk = SurfaceModel(beta.k).anticanonical()
+            relation = RelationEvaluator(beta, (mk, mk), engine._orbit_data(beta)).relation("R1", (0, 1))
+            assert relation.solve() == engine.n_beta(beta), beta
+
+    def test_a_cold_count_solves_no_other_key_of_its_degree(self):
+        # R1(-K, -K) would need N(beta - E_i) = N(8;3,2^5) too, then 8;3,3,2^4, ...
+        engine = GWEngine()
+        beta = DivisorClass(8, (2,) * 6)
+        assert engine.n_beta(beta) == 8613864688
+        assert blown_down_form(DivisorClass(8, (3, 2, 2, 2, 2, 2))) not in engine._memo
+        assert [b for b in engine._orbits if b.d >= beta.d] == [beta]
+
+    @pytest.mark.parametrize("half", ["4;2", "6;2,2,2,2,2,2,2,2"])
+    def test_the_division_by_three_catches_a_poisoned_half_at_k_8(self, half):
+        # at k = 8 the lhs of R1(-K, -K) is (-K)^2 = 1, so no rhs could fail
+        # the division; L.(-K) = 3 is the lhs at every k
+        beta = parse_class_literal("7;3,2,2,2,2,2,2,2")
+        clean = GWEngine()
+        clean.n_beta(beta)
+        engine = GWEngine()
+        engine._memo.update((key, value) for key, value in clean._memo.items() if key != beta)
+        engine._memo[parse_class_literal(half)] += 1
+        with pytest.raises(InconsistentRelationError, match="not divisible by lhs coefficient 3"):
+            engine.n_beta(beta)
 
 
 class TestWeylKey:
@@ -567,7 +629,7 @@ class TestNBeta:
         # (d-1)-fold point at a fixed point are rational and form a linear
         # system of dimension d(d+3)/2 - d(d-1)/2 = 2d = delta, so one of them
         # passes through 2d general points; for d >= 3 the key d;d-1 is solved
-        # by R1(-K, -K) over its own splitting orbits
+        # by R1(L, -K) over its own splitting orbits of degree d1 >= 1
         engine = GWEngine()
         assert [engine.n_beta(DivisorClass(d, (d - 1,))) for d in range(2, 12)] == [1] * 10
 
