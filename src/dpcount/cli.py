@@ -46,16 +46,6 @@ class ResultRecord:
     def to_json(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ResultRecord":
-        return cls(
-            k=int(data["k"]),
-            cls=str(data["cls"]),
-            n=int(data["n"]),
-            c=int(data["c"]),
-            valid=bool(data["valid"]),
-        )
-
     def to_tsv(self) -> str:
         return f"{self.k}\t{self.cls}\t{self.n}\t{self.c}\t{_flag(self.valid)}"
 

@@ -2,11 +2,11 @@
 
 The counts are produced by three associativity relations of the quantum
 product (with the divisor axiom folded in), seeded with the geometrically
-obvious base values and memoized per blown-down Weyl-orbit class,
-`blown_down_form`: Cremona-reduced and, at delta >= 1, without the
-multiplicities 0 and 1, which leave N unchanged.  That key is also what the
-persistent cache stores.  All values are plain Python integers, so precision
-is unbounded.
+obvious base values and memoized per blown-down Weyl-orbit class, keyed by
+the ints (d, m) of `blown_down_form`: Cremona-reduced and, at delta >= 1,
+without the multiplicities 0 and 1, which leave N unchanged.  The persistent
+cache stores that key, so a cache hit builds no class.  All values are plain
+Python integers, so precision is unbounded.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ from .lattice import (
     SurfaceModel,
     _orbit,
     arithmetic_genus,
-    blown_down_form,
+    blown_down_key,
     delta,
-    format_class_literal,
     intersect,
     is_exceptional,
     minus_one_classes,
-    parse_class_literal,
+    parse_class_key,
 )
 
 CACHE_ENV_VAR = "DPCOUNT_CACHE"
@@ -293,8 +292,8 @@ class RelationEvaluator:
 class GWEngine:
     """Memoized evaluator of the counts N over every k <= 8 surface at once.
 
-    N is memoized at the key `blown_down_form`: the Weyl-orbit (Cremona-
-    reduced) class, with the multiplicities 0 and 1 dropped at delta >= 1.
+    N is memoized at the ints (d, m) of `blown_down_form`: the Weyl-orbit
+    (Cremona-reduced) class, with the multiplicities 0 and 1 dropped at delta >= 1.
     N is invariant under W(E_k) and under blowing down a point of
     multiplicity 0 or 1, so every class that shares a key shares one memo
     entry and one set of splitting orbits, solved on the smallest surface,
@@ -308,7 +307,7 @@ class GWEngine:
     """
 
     def __init__(self):
-        self._memo: dict[DivisorClass, int] = {}
+        self._memo: dict[tuple, int] = {}  # `blown_down_key` (d, m) -> N
         self._orbits: dict[DivisorClass, tuple] = {}  # `_orbit_rows`
         self._half_n: dict[tuple, int] = {}  # `_half_value`
         self.cusp_boundary: dict[DivisorClass, Fraction] = {}
@@ -408,13 +407,15 @@ class GWEngine:
         return data
 
     def _half_value(self, half: tuple) -> int:
-        """N of a half (d, m) via `n_beta` once per sorted m, filed in `_half_n` (0 is looked up again).
+        """N of a half (d, m), read once per sorted m from the memo, or on a miss from `n_beta`,
+        and filed in `_half_n` (0 is looked up again).
 
         Only the solve path reads `_half_n`; `consistency_check` reads N through
         `n_beta`, so it sees a memo entry that changed after a solve."""
         known, canonical = self._half_n, (half[0], tuple(sorted(half[1], reverse=True)))
         if canonical not in known:
-            known[canonical] = self.n_beta(DivisorClass(*canonical))
+            value = self._memo.get(blown_down_key(*canonical))
+            known[canonical] = self.n_beta(DivisorClass(*canonical)) if value is None else value
         value = known[half] = known[canonical]
         return value
 
@@ -452,16 +453,16 @@ class GWEngine:
     # ------------------------------------------------------------ the counts
 
     def n_beta(self, beta: DivisorClass) -> int:
-        """N(beta), computed and memoized once per key `blown_down_form(beta)`.
+        """N(beta), computed and memoized once per key `blown_down_key(beta.d, beta.m)`.
 
-        Every key that is neither a seed nor `quick_vanishing` has delta >= 1
-        and every m_i >= 2.  Keys with delta >= 3 are solved by R1 with
-        insertions (L, -K) over the orbits with d1 >= 1, keys with delta 1 or 2
-        by `_solve_low_delta`."""
-        key = blown_down_form(beta)
-        cached = self._memo.get(key)
+        A hit builds no class.  Every key that is neither a seed nor `quick_vanishing` has
+        delta >= 1 and every m_i >= 2.  Keys with delta >= 3 are solved by R1 with insertions
+        (L, -K) over the orbits with d1 >= 1, keys with delta 1 or 2 by `_solve_low_delta`."""
+        memo_key = blown_down_key(beta.d, beta.m)
+        cached = self._memo.get(memo_key)
         if cached is not None:
             return cached
+        key = beta if memo_key == (beta.d, beta.m) else DivisorClass(*memo_key)
         seed = self.seed_value(key)
         if seed is not None:
             value = seed
@@ -481,7 +482,7 @@ class GWEngine:
             value = self._solve_low_delta(key)
         if value < 0:
             raise InconsistentRelationError(f"negative count {value} for {key}")
-        self._memo[key] = value
+        self._memo[memo_key] = value
         return value
 
     def _solve_low_delta(self, beta: DivisorClass) -> int:
@@ -556,8 +557,9 @@ class GWEngine:
     def load_cache(self, path: str | os.PathLike) -> list[str]:
         """Merge a cache file into the memo; returns reports for skipped lines.
 
-        Each row must hold a canonical (non-increasing) class and is filed
-        under its key `blown_down_form`, a later row over an earlier one, so
+        Each row must hold a canonical (non-increasing) class.  It is parsed
+        to ints and filed under its memo key, the (d, m) of `blown_down_form`,
+        so no row builds a class; a later row wins over an earlier one, and
         rows that older versions wrote for unreduced or unstripped classes
         load under their key.  Undecodable bytes, any other non-ASCII character
         and a _ corrupt a line; ASCII spaces and a + sign around a number are
@@ -581,10 +583,10 @@ class GWEngine:
                 if not line.isascii() or "_" in line:
                     raise ValueError("non-ASCII character or _ in the row")
                 k = int(parts[1])
-                beta = parse_class_literal(parts[2])
-                if beta.k != k:
+                d, m = parse_class_key(parts[2])
+                if len(m) != k:
                     raise ValueError(f"k column {k} disagrees with literal {parts[2]}")
-                if list(beta.m) != sorted(beta.m, reverse=True):
+                if list(m) != sorted(m, reverse=True):
                     raise ValueError("m entries not in canonical (non-increasing) order")
                 value = int(parts[3])
                 if value < 0:
@@ -592,7 +594,7 @@ class GWEngine:
             except ValueError as exc:
                 problems.append(f"{path}:{lineno}: skipped corrupted cache line ({exc})")
                 continue
-            self._memo[blown_down_form(beta)] = value
+            self._memo[blown_down_key(d, m)] = value
         return problems
 
     def save_cache(self, path: str | os.PathLike) -> None:
@@ -606,12 +608,12 @@ class GWEngine:
         directory = os.path.dirname(path) or "."
         disk = GWEngine()
         disk.load_cache(path)
-        rows = sorted({**disk._memo, **self._memo}.items(), key=lambda kv: (kv[0].k, kv[0].d, kv[0].m))
+        rows = sorted({**disk._memo, **self._memo}.items(), key=lambda row: (len(row[0][1]), row[0]))  # k, d, m
         fd, tmp = tempfile.mkstemp(prefix=".dpcount-cache-", dir=directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for beta, value in rows:
-                    fh.write(f"{CACHE_VERSION}\t{beta.k}\t{format_class_literal(beta)}\t{value}\n")
+                for (d, m), value in rows:
+                    fh.write(f"{CACHE_VERSION}\t{len(m)}\t{d};{','.join(map(str, m))}\t{value}\n")
             os.replace(tmp, path)
         except BaseException:
             with suppress(OSError):

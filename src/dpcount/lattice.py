@@ -28,16 +28,6 @@ class SurfaceModel:
         if not 0 <= self.k <= MAX_BLOWUPS:
             raise _blowup_count_error(self.k)
 
-    @property
-    def c1_sq(self) -> int:
-        """Self-intersection of the first Chern class: 9 - k."""
-        return 9 - self.k
-
-    @property
-    def euler(self) -> int:
-        """Topological Euler number: 3 + k."""
-        return 3 + self.k
-
     def line(self) -> "DivisorClass":
         return DivisorClass(1, (0,) * self.k)
 
@@ -142,34 +132,39 @@ def reduced_form(beta: DivisorClass) -> DivisorClass:
     with every m_i >= 0 is the one class of the orbit with m non-increasing
     and d >= m_1 + m_2 + m_3, so the whole orbit shares it.
     """
-    d, m = _cremona_reduce(beta)
+    d, m = _cremona_reduce(beta.d, beta.m)
     m = tuple(m)
     # an argument that is reduced already is returned as it is, not copied
     return beta if d == beta.d and m == beta.m else DivisorClass(d, m)
 
 
 def blown_down_form(beta: DivisorClass) -> DivisorClass:
-    """`reduced_form(beta)` with every entry 0 or 1 dropped when every m_i >= 0 and delta >= 1.
+    """The class of `blown_down_key(beta.d, beta.m)`; beta itself when beta is its own key."""
+    key = blown_down_key(beta.d, beta.m)
+    return beta if key == (beta.d, beta.m) else DivisorClass(*key)
 
-    The memo key of N.  Blowing up a point that the curve misses (m_i = 0) or
-    passes through once (m_i = 1, one more generic point) leaves N unchanged
-    (Goettsche-Pandharipande 1998), and dropping such an entry keeps the
-    genus, the m_1 > d test and a delta' = delta + (number of 1s) >= 1, so no
-    filter of N changes its verdict.  At delta <= 0 the key is the reduced
-    form: 1;1,1,1 (delta -1, N = 0) must not become the seed 1;1,1 (N = 1).
-    The result is a fixed point of `reduced_form` (the dropped entries are
-    the smallest) and of this function, on at most the same k.
+
+def blown_down_key(d: int, m: tuple[int, ...]) -> tuple:
+    """(d, m) of `reduced_form` with every entry 0 or 1 dropped when every m_i >= 0 and delta >= 1.
+
+    The memo key of N, in ints.  Blowing up a point that the curve misses
+    (m_i = 0) or passes through once (m_i = 1, one more generic point) leaves
+    N unchanged (Goettsche-Pandharipande 1998), and dropping such an entry
+    keeps the genus, the m_1 > d test and a delta' = delta + (number of 1s),
+    still >= 1, so no filter of N changes its verdict.  At delta <= 0 the key
+    is the reduced form: 1;1,1,1 (delta -1, N = 0) must not become the seed
+    1;1,1 (N = 1).  The result is a fixed point of `reduced_form` (the dropped
+    entries are the smallest) and of this function, on at most the same k.
     """
-    d, m = _cremona_reduce(beta)
+    d, m = _cremona_reduce(d, m)
     if m and 0 <= m[-1] <= 1 and 3 * d - sum(m) >= 2:
         del m[len(m) - m.count(0) - m.count(1):]  # sorted, so the 0s and 1s are the tail
-    m = tuple(m)
-    return beta if d == beta.d and m == beta.m else DivisorClass(d, m)
+    return d, tuple(m)
 
 
-def _cremona_reduce(beta: DivisorClass) -> tuple[int, list[int]]:
-    """(d, m) of `reduced_form(beta)`, with m a non-increasing list."""
-    d, m = beta.d, sorted(beta.m, reverse=True)
+def _cremona_reduce(d: int, m: tuple) -> tuple[int, list[int]]:
+    """(d, m) of `reduced_form(DivisorClass(d, m))`, with m a non-increasing list."""
+    m = sorted(m, reverse=True)
     if len(m) >= 3 and m[-1] >= 0:
         while (excess := m[0] + m[1] + m[2] - d) > 0:
             d -= excess
@@ -255,13 +250,21 @@ def cremona_image(beta: DivisorClass) -> DivisorClass:
 
 def parse_class_literal(text: str) -> DivisorClass:
     """Parse `d;m1,...,mk` (`3;` means k = 0)."""
+    return DivisorClass(*parse_class_key(text))
+
+
+def parse_class_key(text: str) -> tuple:
+    """The ints (d, m) of a class literal, with the checks of `parse_class_literal`."""
     match = _LITERAL_RE.match(text.strip())
     if match is None:
         raise ValueError(
             f"malformed class literal {text!r}; expected `d;m1,...,mk`, e.g. `4;1,1,0`"
         )
     d, m = match.groups()
-    return DivisorClass(int(d), tuple(map(int, m.split(","))) if m else ())
+    m = tuple(map(int, m.split(","))) if m else ()
+    if len(m) > MAX_BLOWUPS:
+        raise _blowup_count_error(len(m))
+    return int(d), m
 
 
 def format_class_literal(beta: DivisorClass) -> str:

@@ -213,9 +213,10 @@ def cache_suite(engine: GWEngine) -> tuple[bool, list[str]]:
     fresh = GWEngine()
     lines = []
     for key, cached in rows:
-        value = fresh.n_beta(key)
+        beta = DivisorClass(*key)  # the memo keys are the ints (d, m)
+        value = fresh.n_beta(beta)
         if value != cached:
-            lines.append(f"FAIL {key}: cached {cached}, fresh {value}")
+            lines.append(f"FAIL {beta}: cached {cached}, fresh {value}")
     ok = not lines
     lines.append(
         f"cache: {len(rows)} of {engine.memo_size} rows recomputed, "

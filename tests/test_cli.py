@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -129,9 +130,14 @@ class TestTable:
     def test_json_round_trip(self, capsys):
         assert main(["--format", "json", "table", "--k", "1", "--dmax", "3"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        for row in rows:
-            record = ResultRecord.from_json(row)
-            assert record.to_json() == row
+        assert main(["table", "--k", "1", "--dmax", "3"]) == 0
+        tsv = capsys.readouterr().out.splitlines()
+        assert len(rows) == len(tsv) > 0
+        types = {"k": int, "cls": str, "n": int, "c": int, "valid": bool}
+        for row, line in zip(rows, tsv):
+            # bool is an int subclass, so the types are compared exactly
+            assert {field: type(value) for field, value in row.items()} == types
+            assert ResultRecord(**row).to_tsv() == line
 
 
 class TestCacheEnvVar:
@@ -190,6 +196,67 @@ class TestCacheEnvVar:
         assert main(["--cache-path", str(cache), "nbeta", "4;1,1,1,0"]) == 0
         assert capsys.readouterr() == ("N=620\nN=620\n", "")
         assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+
+
+# sha256 of the cache file that `--cache-path F table --k 2 --dmax 4` writes into
+# an empty path: 50 rows, recorded when the memo was still keyed by DivisorClass
+TABLE_K2_D4_CACHE_SHA256 = "34bfab309082eba824583810da02d6e8c3e2c679b70f45b11433e0457caee37a"
+
+
+class TestCacheRows:
+    """Cache rows are (d, m) ints from file to memo and back: a hit builds no class per row."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """A Counter whose "built" entry counts the `DivisorClass`es built from now on."""
+        counter = Counter()
+        post_init = DivisorClass.__post_init__
+
+        def counted(self):
+            counter["built"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(DivisorClass, "__post_init__", counted)
+        return counter
+
+    def test_file_bytes_are_pinned(self, capsys, tmp_path):
+        cache = tmp_path / "cache.tsv"
+        assert main(["--cache-path", str(cache), "table", "--k", "2", "--dmax", "4"]) == 0
+        data = cache.read_bytes()
+        assert data.count(b"\n") == 50
+        assert hashlib.sha256(data).hexdigest() == TABLE_K2_D4_CACHE_SHA256
+
+    def test_loading_a_saved_file_builds_no_class(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.tsv"
+        writer = GWEngine()
+        for beta in sweep_classes(3, 5, None):
+            writer.n_beta(beta)
+        writer.save_cache(cache)
+        rows = len(cache.read_text().splitlines())
+        assert rows == writer.memo_size > 50
+        built = self.count_builds(monkeypatch)
+        reader = GWEngine()
+        assert reader.load_cache(cache) == []
+        assert reader._memo == writer._memo
+        assert built["built"] == 0
+
+    def test_a_pure_hit_builds_as_many_classes_whatever_the_row_count(self, capsys, tmp_path, monkeypatch):
+        small, large = tmp_path / "small.tsv", tmp_path / "large.tsv"
+        assert main(["--cache-path", str(small), "table", "--k", "1", "--dmax", "3"]) == 0
+        assert main(["--cache-path", str(large), "table", "--k", "3", "--dmax", "5"]) == 0
+        sizes = [len(path.read_text().splitlines()) for path in (small, large)]
+        assert sizes[1] > 10 * sizes[0]
+        capsys.readouterr()
+        built = self.count_builds(monkeypatch)
+        counts = []
+        for path in (small, large):
+            before = path.read_bytes()
+            built.clear()
+            assert main(["--cache-path", str(path), "nbeta", "3;1"]) == 0
+            assert path.read_bytes() == before  # a pure hit
+            counts.append(built["built"])
+        assert capsys.readouterr() == ("N=12\nN=12\n", "")
+        assert counts[0] == counts[1] <= 2
 
 
 class TestUnusableCachePath:

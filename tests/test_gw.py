@@ -23,6 +23,7 @@ from dpcount.lattice import (
     SurfaceModel,
     arithmetic_genus,
     blown_down_form,
+    blown_down_key,
     canonical_form,
     delta,
     intersect,
@@ -35,6 +36,11 @@ from oracles import plane_count
 
 def P(d):
     return DivisorClass(d, ())
+
+
+def memo_key(beta):
+    """The `GWEngine._memo` key of a class that is its own key (`blown_down_form`): its ints (d, m)."""
+    return beta.d, beta.m
 
 
 def box_splittings(engine, beta):
@@ -184,8 +190,10 @@ class CanonicalKeyEngine(GWEngine):
     """Reference for the Weyl-orbit memo key: N memoized per canonical class alone.
 
     Every class of a Weyl orbit is solved on its own, through its own
-    splitting orbits; all recursion stays in this engine.  Its keys are not
-    reduced, so low-delta classes go to the pool reference solver.  It
+    splitting orbits; all recursion stays in this engine.  Its memo keys are
+    classes, never equal to the base engine's (d, m) keys, so `_half_value`
+    finds no half in the memo and asks this `n_beta` for each.  Its keys are
+    not reduced, so low-delta classes go to the pool reference solver.  It
     solves delta >= 3 by R1(-K, -K) over every orbit, E_i ones included, so it
     also checks the engine's R1(L, -K) solve.
     """
@@ -220,7 +228,7 @@ def lhs_zero_poisoned_engine():
     engine = GWEngine()
     beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
     engine._orbits[beta] = (((e1.d, e1.m), (bad.d, bad.m), 1, True),)
-    engine._memo[bad] = 1
+    engine._memo[memo_key(bad)] = 1
     return engine, beta
 
 
@@ -420,7 +428,7 @@ class TestR1Insertions:
         engine = GWEngine()
         beta = DivisorClass(8, (2,) * 6)
         assert engine.n_beta(beta) == 8613864688
-        assert blown_down_form(DivisorClass(8, (3, 2, 2, 2, 2, 2))) not in engine._memo
+        assert memo_key(blown_down_form(DivisorClass(8, (3, 2, 2, 2, 2, 2)))) not in engine._memo
         assert [b for b in engine._orbits if b.d >= beta.d] == [beta]
 
     @pytest.mark.parametrize("half", ["4;2", "6;2,2,2,2,2,2,2,2"])
@@ -431,8 +439,8 @@ class TestR1Insertions:
         clean = GWEngine()
         clean.n_beta(beta)
         engine = GWEngine()
-        engine._memo.update((key, value) for key, value in clean._memo.items() if key != beta)
-        engine._memo[parse_class_literal(half)] += 1
+        engine._memo.update((key, value) for key, value in clean._memo.items() if key != memo_key(beta))
+        engine._memo[memo_key(parse_class_literal(half))] += 1
         with pytest.raises(InconsistentRelationError, match="not divisible by lhs coefficient 3"):
             engine.n_beta(beta)
 
@@ -459,9 +467,9 @@ class TestWeylKey:
         assert engine.n_beta(DivisorClass(5, (2, 2, 2, 0))) == 620
         assert engine.n_beta(DivisorClass(4, (0, 1, 1, 1))) == 620
         # both reduce to 4;1,1,1,0, whose 0 and 1s blow down to the plane quartic
-        assert DivisorClass(5, (2, 2, 2, 0)) not in engine._memo
-        assert DivisorClass(4, (1, 1, 1, 0)) not in engine._memo
-        assert engine._memo[P(4)] == 620
+        assert memo_key(DivisorClass(5, (2, 2, 2, 0))) not in engine._memo
+        assert memo_key(DivisorClass(4, (1, 1, 1, 0))) not in engine._memo
+        assert engine._memo[memo_key(P(4))] == 620
 
 
 class TestBlowDownKey:
@@ -479,7 +487,7 @@ class TestBlowDownKey:
         assert delta(beta) == 0
         assert blown_down_form(beta) == reduced_form(beta)
         assert engine.n_beta(beta) == value
-        assert engine._memo == {reduced_form(beta): value}
+        assert engine._memo == {memo_key(reduced_form(beta)): value}
 
     def test_stripped_classes_share_the_plane_entry(self):
         engine = GWEngine()
@@ -488,7 +496,7 @@ class TestBlowDownKey:
         assert engine.n_beta(DivisorClass(4, (1, 0))) == 620
         assert engine.n_beta(DivisorClass(4, (0, 1, 1, 1, 1, 1, 1, 1))) == 620
         assert engine.memo_size == known  # both hits on 4;
-        assert all(blown_down_form(b) == b for b in engine._memo)
+        assert all(blown_down_key(*key) == key for key in engine._memo)
 
 
 # every reduced key with k <= 8, d <= 12 and delta 1 or 2 that is neither a
@@ -742,7 +750,7 @@ class TestConsistencyMutations:
         engine = GWEngine()
         beta = DivisorClass(4, (1, 1))
         engine.n_beta(beta)
-        engine._memo[blown_down_form(beta)] += 1
+        engine._memo[memo_key(blown_down_form(beta))] += 1
         report = engine.consistency_check(beta)
         assert not report.consistent
         # the value enters as lhs * N, so only lhs != 0 tuples can see it
@@ -755,7 +763,7 @@ class TestConsistencyMutations:
         beta, half = DivisorClass(4, (1, 1)), DivisorClass(2, (1, 0))
         assert any(b1 == half for b1, _ in engine.splittings(beta))
         assert engine.consistency_check(beta).consistent
-        engine._memo[blown_down_form(half)] += 1
+        engine._memo[memo_key(blown_down_form(half))] += 1
         assert not engine.consistency_check(beta).consistent
 
     def test_lhs_zero_tuple_alone_catches_a_poisoned_splitting(self):
@@ -783,7 +791,7 @@ class TestConsistencyMutations:
         beta, half = DivisorClass(4, (1, 1, 1)), DivisorClass(2, (1, 0, 0))
         assert any(b1 == half for b1, _ in engine.splittings(beta))
         assert engine.consistency_check(beta).consistent
-        engine._memo[blown_down_form(half)] += 1
+        engine._memo[memo_key(blown_down_form(half))] += 1
         surface = SurfaceModel(3)
         basis = (surface.line(), *(surface.exceptional(i) for i in range(3)))
         evaluator = RelationEvaluator(beta, basis, engine._splitting_data(beta))
@@ -850,7 +858,7 @@ class TestCache:
 
         reader = GWEngine()
         assert reader.load_cache(path) == []
-        assert reader._memo[canonical_form(P(5))] == value
+        assert reader._memo[memo_key(canonical_form(P(5)))] == value
 
     def test_rows_are_filed_under_their_reduced_key(self, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -858,7 +866,7 @@ class TestCache:
         eng = GWEngine()
         assert eng.load_cache(path) == []
         # 2;1,1,1 reduces to 1;0,0,0 and 5;2,2,2,0 to 4;1,1,1,0; both blow down to the plane
-        assert eng._memo == {P(1): 1, P(4): 620}
+        assert eng._memo == {memo_key(P(1)): 1, memo_key(P(4)): 620}
 
     def test_saved_rows_are_reduced(self, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -886,7 +894,7 @@ class TestCache:
         eng = GWEngine()
         problems = eng.load_cache(path)
         assert len(problems) == 5
-        assert eng._memo == {P(2): 1}
+        assert eng._memo == {memo_key(P(2)): 1}
 
     def test_edge_rows_load_as_older_versions_did(self, tmp_path):
         # recorded on the loader before its rows were parsed with map(int, ...)
@@ -925,14 +933,14 @@ class TestCache:
             ]
         ]
         assert eng._memo == {
-            P(6): 26312976,
-            P(2): 1,
-            DivisorClass(5, (2,)): 18132,
-            P(3): 12,
-            P(1): 1,
-            P(4): 620,
-            P(5): 87304,
-            P(7): 14616808192,
+            memo_key(P(6)): 26312976,
+            memo_key(P(2)): 1,
+            memo_key(DivisorClass(5, (2,))): 18132,
+            memo_key(P(3)): 12,
+            memo_key(P(1)): 1,
+            memo_key(P(4)): 620,
+            memo_key(P(5)): 87304,
+            memo_key(P(7)): 14616808192,
         }
 
     def test_writers_sharing_a_path_keep_each_others_rows(self, tmp_path):
@@ -945,7 +953,7 @@ class TestCache:
         second.save_cache(path)
         reader = GWEngine()
         assert reader.load_cache(path) == []
-        assert reader._memo == {P(1): 1, DivisorClass(0, (-1,)): 1}
+        assert reader._memo == {memo_key(P(1)): 1, memo_key(DivisorClass(0, (-1,))): 1}
 
     def test_merge_keeps_the_memo_value_and_drops_corrupted_lines(self, tmp_path):
         path = tmp_path / "cache.tsv"
