@@ -54,7 +54,7 @@ def splitting_term(
 ) -> Fraction:
     """Contribution of one ordered splitting beta1 + beta2 = beta, with N read through `n_beta`.
 
-    `c_beta` sums the same terms over the orbit rows of the N solve; this is
+    `c_beta` sums the same terms over the splitting orbit rows; this is
     the term of one pair, for reference sums over `GWEngine.splittings`."""
     if beta1 + beta2 != beta:
         raise ValueError(f"{beta1} + {beta2} is not a splitting of {beta}")
@@ -69,7 +69,7 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
 
     The first term is `_first_factor(beta) * N(beta)`.  The boundary term is
     the sum of `splitting_term` over the ordered splittings, taken over the
-    orbit rows of the N solve, one Fraction per distinct delta(beta1).  Both
+    splitting orbit rows, one Fraction per distinct delta(beta1).  Both
     stay Fractions; their sum must be an integer, or the count raises."""
     if any(mi < 0 for mi in beta.m):
         raise ValueError(f"class {beta} has a negative multiplicity; all m_i >= 0 required")
@@ -79,8 +79,8 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     n = engine.n_beta(beta)  # c_beta's domain keeps deg >= 2, so _first_factor cannot raise
     ft = _first_factor(beta) * n
     # the boundary sum is the same for every permutation of beta, so it is
-    # kept per canonical class.  Its rows (half, w, delta1) are the N solve's,
-    # `GWEngine._orbit_data`: w = size * N1 * N2 * (beta1.beta2) per stabiliser
+    # kept per canonical class.  Its rows (half, w, delta1) are those of every
+    # splitting orbit, `GWEngine._orbit_data`: w = size * N1 * N2 * (beta1.beta2) per stabiliser
     # orbit, a swapped orbit is a row of its own, and rows with a vanishing
     # half are dropped, as their terms are 0.
     # It is not keyed by the Weyl-reduced class, as N is: the formula is not

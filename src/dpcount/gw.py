@@ -108,6 +108,12 @@ def divisor_pool(k: int) -> tuple[DivisorClass, ...]:
 
 
 @lru_cache(maxsize=None)
+def _line_and_anticanonical(k: int) -> tuple[DivisorClass, DivisorClass]:
+    """L and -K on the k-point blow-up, the insertions of `GWEngine._r1_relation`."""
+    return SurfaceModel(k).line(), SurfaceModel(k).anticanonical()
+
+
+@lru_cache(maxsize=None)
 def seed_classes(k: int) -> Mapping[DivisorClass, int]:
     """The recursion's base data on the k-point blow-up, class -> N, in listing order.
 
@@ -126,13 +132,14 @@ def seed_classes(k: int) -> Mapping[DivisorClass, int]:
     return MappingProxyType(seeds)
 
 
-def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple]:
-    """Orbit rows ((d1, m1), (d2, m - m1), len(_orbit(m, m1)), d1 < d2), both halves of delta, genus >= 0.
+def _viable_multiplicities(m: tuple[int, ...], d: int) -> list[tuple]:
+    """Orbit rows ((d1, m1), (d2, m - m1), len(_orbit(m, m1)), d1 < d2) for 1 <= d1 <= d/2, d2 = d - d1,
+    both halves of delta, genus >= 0.
 
     One m1 per orbit of the permutations that fix m: the one whose entries
-    do not increase over the positions that hold equal m_i.  Needs d1, d2 >= 1.
-    Candidates are the box max(0, m_i - d2) <= m1_i <= min(d1, m_i), so both
-    halves have 0 <= multiplicity <= degree; they are returned in
+    do not increase over the positions that hold equal m_i.  Per d1 the
+    candidates are the box max(0, m_i - d2) <= m1_i <= min(d1, m_i), so both
+    halves have 0 <= multiplicity <= degree; rows come by d1, then in
     lexicographic order of m1.  With S1 = sum m1_i, Q1 = sum m1_i(m1_i - 1) and Q2
     the same sum over m - m1, the conditions read
     S - 3*d2 + 1 <= S1 <= 3*d1 - 1, Q1 <= (d1-1)(d1-2) and Q2 <= (d2-1)(d2-2).
@@ -140,21 +147,6 @@ def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple]:
     extremes of these sums over the remaining coordinates rule it out.
     """
     k = len(m)
-    ranges = [range(max(0, mi - d2), min(d1, mi) + 1) for mi in m]
-    if not all(ranges):
-        return []
-    s1_min, s1_max = sum(m) - 3 * d2 + 1, 3 * d1 - 1
-    q1_max, q2_max = (d1 - 1) * (d1 - 2), (d2 - 1) * (d2 - 2)
-    # extremes of S1, Q1 and Q2 over coordinates i..k-1; x(x - 1) is
-    # increasing on x >= 0, so each minimum sits at an end of the range
-    rest_s_min, rest_s_max = [0] * (k + 1), [0] * (k + 1)
-    rest_q1_min, rest_q2_min = [0] * (k + 1), [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        lo, hi = ranges[i].start, ranges[i].stop - 1
-        rest_s_min[i] = rest_s_min[i + 1] + lo
-        rest_s_max[i] = rest_s_max[i + 1] + hi
-        rest_q1_min[i] = rest_q1_min[i + 1] + lo * (lo - 1)
-        rest_q2_min[i] = rest_q2_min[i + 1] + (m[i] - hi) * (m[i] - hi - 1)
     # the last earlier position holding the same m_i, whose m1 caps this one
     last: dict[int, int] = {}
     previous = []
@@ -190,7 +182,23 @@ def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple]:
             # per value of m; position i multiplies its own by rank / run, exactly
             walk(j, s, p1, p2, size * rank[i] // run[i])
 
-    walk(0, 0, 0, 0, 1)
+    for d1 in range(1, d // 2 + 1):
+        d2 = d - d1
+        # an empty range (some m_i < 0 or m_i > d) ends the walk at its position
+        ranges = [range(max(0, mi - d2), min(d1, mi) + 1) for mi in m]
+        s1_min, s1_max = sum(m) - 3 * d2 + 1, 3 * d1 - 1
+        q1_max, q2_max = (d1 - 1) * (d1 - 2), (d2 - 1) * (d2 - 2)
+        # extremes of S1, Q1 and Q2 over coordinates i..k-1; x(x - 1) is
+        # increasing on x >= 0, so each minimum sits at an end of the range
+        rest_s_min, rest_s_max = [0] * (k + 1), [0] * (k + 1)
+        rest_q1_min, rest_q2_min = [0] * (k + 1), [0] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            lo, hi = ranges[i].start, ranges[i].stop - 1
+            rest_s_min[i] = rest_s_min[i + 1] + lo
+            rest_s_max[i] = rest_s_max[i + 1] + hi
+            rest_q1_min[i] = rest_q1_min[i + 1] + lo * (lo - 1)
+            rest_q2_min[i] = rest_q2_min[i + 1] + (m[i] - hi) * (m[i] - hi - 1)
+        walk(0, 0, 0, 0, 1)
     return found
 
 
@@ -198,14 +206,22 @@ def _viable_multiplicities(m: tuple[int, ...], d1: int, d2: int) -> list[tuple]:
 RELATIONS = {"R1": (2, 3), "R2": (3, 2), "R3": (4, 1)}
 
 
+def project(divisors, rows) -> list[tuple]:
+    """Evaluator rows (x.beta1 for x in divisors, w, delta1) of rows (half, w, delta1) whose half
+    beta1 is given as (d1, m1_1, ..., m1_k), its projection on the basis L, E_1, ..., E_k."""
+    return [(tuple(x.d * h[0] - sum(map(mul, x.m, h[1:])) for x in divisors), w, d1) for h, w, d1 in rows]
+
+
 class RelationEvaluator:
     """Both sides of R1, R2 and R3, lhs * N_beta = rhs, for one class beta.
 
     An insertion is an index into `divisors`.  Both sides are computed from
     intersection numbers alone: x.y and x.beta for the lhs, x1 = x.beta1 and
-    x2 = x.beta2 = x.beta - x1 per splitting for the rhs.  `data` holds a row
-    ((d1, m1), w, delta(beta1)) per ordered splitting or orbit, two per
-    unordered orbit (`GWEngine._orbit_data`).  Both sides are multilinear.
+    x2 = x.beta2 = x.beta - x1 per splitting for the rhs.  A row of `rows` is
+    a splitting or orbit seen only through its projection: (x1 for each
+    divisor, w, delta(beta1)), with w = N1 N2 (beta1.beta2) times the orbit
+    size; `project` builds them from halves.  Both sides are multilinear, so
+    rows of equal projection and delta(beta1) are merged into one first.
 
     Each rhs is one dot product of two per-row factor lists, and each list is
     built once, on first use.  With Q_bc = x1_c * x2_b - x1_b * x2_c, the
@@ -215,30 +231,28 @@ class RelationEvaluator:
     sign when b and c are swapped, whatever the data.
     """
 
-    def __init__(self, beta: DivisorClass, divisors, data=()):
+    def __init__(self, beta: DivisorClass, divisors, rows=()):
         self.divisors = divisors = tuple(divisors)
-        self.data = data
         self.delta = delta(beta)
         self.pair = [[intersect(x, y) for y in divisors] for x in divisors]
         self.on_beta = [intersect(x, beta) for x in divisors]
-        # per distinct divisor, so one inserted twice, as in relation_r1(beta, -K, -K),
-        # meets each beta1 once
-        first = {x: [x.d * d1 - sum(map(mul, x.m, m1)) for (d1, m1), _, _ in data] for x in set(divisors)}
-        self.halves = [
-            (first[x], [xb - x1 for x1 in first[x]]) for x, xb in zip(divisors, self.on_beta)
-        ]
+        self.rows = merged = {}  # (projection, delta1) -> w
+        for p, w, d1 in rows:
+            merged[p, d1] = merged.get((p, d1), 0) + w
+        columns = list(zip(*(p for p, _ in merged))) or [()] * len(divisors)
+        self.halves = [(x1, [xb - a for a in x1]) for x1, xb in zip(columns, self.on_beta)]
         self._weights: dict[str, tuple[list[int], ...]] = {}
         self._factors: dict[tuple, list[int]] = {}
 
     def weights(self, name: str) -> tuple[list[int], ...]:
-        """Per-splitting rhs coefficients of `name`: w C(D-3, d1-1) and w C(D-3, d1-2) for R1,
+        """Per-row rhs coefficients of `name`: w C(D-3, d1-1) and w C(D-3, d1-2) for R1,
         w C(D-2, d1) for R2, w C(D-1, d1) for R3, with D = delta(beta), d1 = delta(beta1)."""
         found = self._weights.get(name)
         if found is None:
-            n, deltas, found = self.delta - RELATIONS[name][1], {d1 for _, _, d1 in self.data}, []
+            n, deltas, found = self.delta - RELATIONS[name][1], {d1 for _, d1 in self.rows}, []
             for shift in (1, 2) if name == "R1" else (0,):
                 binom = {d1: comb0(n, d1 - shift) for d1 in deltas}
-                found.append([w * binom[d1] for _, w, d1 in self.data])
+                found.append([w * binom[d1] for (_, d1), w in self.rows.items()])
             found = self._weights[name] = tuple(found)
         return found
 
@@ -296,13 +310,15 @@ class GWEngine:
     (Cremona-reduced) class, with the multiplicities 0 and 1 dropped at delta >= 1.
     N is invariant under W(E_k) and under blowing down a point of
     multiplicity 0 or 1, so every class that shares a key shares one memo
-    entry and one set of splitting orbits, solved on the smallest surface,
-    and the persistent cache stores keys only.  A key with delta >= 3 is
-    solved by R1(L, -K), whose E_i orbits add nothing, so that solve reads N
-    of halves of lower degree only, never of beta - E_i.  The memo is an
-    insert-only map; duplicate concurrent computation is harmless because
-    every insert for a key carries the same value.  So are the splitting
-    orbits and the cusp boundary sums that `cusp.c_beta` keeps, per
+    entry, solved on the smallest surface, and the persistent cache stores
+    keys only.  A key with delta >= 3 is solved by R1(L, -K) on the weights
+    of the orbits the splitting walk lists, merged per (d1, sum m1)
+    (`_r1_relation`): the E_i orbits add nothing, so that solve reads N of
+    halves of lower degree only, never of beta - E_i, and it keeps no orbit
+    rows.  The memo is an insert-only map; duplicate concurrent computation
+    is harmless because every insert for a key carries the same value.  So
+    are the splitting orbits that `_orbit_rows` keeps for the readers of
+    every orbit, and the cusp boundary sums that `cusp.c_beta` keeps, per
     canonical class, in `cusp_boundary`.
     """
 
@@ -310,6 +326,7 @@ class GWEngine:
         self._memo: dict[tuple, int] = {}  # `blown_down_key` (d, m) -> N
         self._orbits: dict[DivisorClass, tuple] = {}  # `_orbit_rows`
         self._half_n: dict[tuple, int] = {}  # `_half_value`
+        self._loaded: dict[str, bytes] = {}  # path -> the bytes `load_cache` merged from it
         self.cusp_boundary: dict[DivisorClass, Fraction] = {}
 
     @property
@@ -341,7 +358,9 @@ class GWEngine:
 
     def _orbit_rows(self, beta: DivisorClass) -> tuple[tuple, ...]:
         """Rows ((d1, m1), (d2, m2), orbit size, swap) of ints, one per unordered stabiliser
-        orbit of `splittings(beta)`, cached per class.
+        orbit of `splittings(beta)`, cached per class for the readers of every orbit:
+        `splittings`, and through `_orbit_data` the cusp boundary sum and the
+        delta 1 and 2 solves.  The R1 solve of N reads the walk directly.
 
         The stabiliser of beta permutes positions that hold equal m_i and acts
         on a pair by permuting both halves.  An orbit is represented by the
@@ -363,8 +382,7 @@ class GWEngine:
             m2 = (*m[:i], m[i] + 1, *m[i + 1 :])  # beta - E_i; E_i itself never vanishes
             if not self.quick_vanishing(DivisorClass(d, m2)):  # true for the zero class
                 rows.append(((0, (0,) * i + (-1,) + (0,) * (k - i - 1)), (d, m2), m.count(m[i]), True))
-        for d1 in range(1, d // 2 + 1):
-            rows += _viable_multiplicities(m, d1, d - d1)
+        rows += _viable_multiplicities(m, d)
         return self._orbits.setdefault(beta, tuple(rows))
 
     def splittings(self, beta: DivisorClass) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
@@ -381,20 +399,18 @@ class GWEngine:
         pairs.sort(key=lambda p: (p[0].d, p[0].m))
         return tuple(pairs)
 
-    def _orbit_data(self, beta: DivisorClass, exceptional: bool = True) -> list[tuple]:
-        """Evaluator rows (half1, size*N1*N2*(beta1.beta2), delta(beta1)) over beta's orbits,
-        and (half2, ...) too with `swap`; zeros dropped, N per half from `_half_n`.
+    def _orbit_data(self, beta: DivisorClass, orbits=None) -> list[tuple]:
+        """Rows (half1, size*N1*N2*(beta1.beta2), delta(beta1)), and (half2, ...) too with `swap`,
+        over the orbit rows `orbits` of beta, by default every orbit of `_orbit_rows(beta)`;
+        zeros dropped, N per half from `_half_n`, and N2 not looked up when N1 = 0.
 
-        The R1(L, -K) solve of N reads the rows of the orbits with d1 >= 1 alone
-        (`exceptional=False`), so it never looks up N(beta - E_i); the R2 and R3
-        solves and the cusp boundary sum of `cusp.c_beta` read every row.
-        N2 is not looked up when N1 = 0."""
+        The cusp boundary sum of `cusp.c_beta` and the R2 and R3 solves of
+        `_solve_low_delta` read every orbit, E_i orbits included; the R1 solve
+        of N reads the orbits that the walk lists for d1 >= 1 (`_r1_relation`)."""
         get, lookup = self._half_n.get, self._half_value
         top = delta(beta) - 1  # delta(beta1) + delta(beta2)
         data = []
-        for h1, h2, size, swap in self._orbit_rows(beta):
-            if not (exceptional or h1[0]):
-                continue
+        for h1, h2, size, swap in self._orbit_rows(beta) if orbits is None else orbits:
             n1 = get(h1) or lookup(h1)
             n2 = n1 and (get(h2) or lookup(h2))
             if n2:
@@ -420,11 +436,12 @@ class GWEngine:
         return value
 
     def _splitting_data(self, beta: DivisorClass) -> list[tuple]:
-        """Evaluator rows over `splittings(beta)`, each N read through `n_beta`."""
+        """Evaluator rows ((d1, *m1), N1*N2*(beta1.beta2), delta(beta1)) over `splittings(beta)`,
+        each N read through `n_beta`; (d1, *m1) is the projection on L, E_1, ..., E_k."""
         data = []
         for b1, b2 in self.splittings(beta):
             if n1 := self.n_beta(b1):
-                data.append(((b1.d, b1.m), n1 * self.n_beta(b2) * intersect(b1, b2), delta(b1)))
+                data.append(((b1.d, *b1.m), n1 * self.n_beta(b2) * intersect(b1, b2), delta(b1)))
         return data
 
     # ------------------------------------------------------------- relations
@@ -435,7 +452,7 @@ class GWEngine:
         db = delta(beta)
         if db < low:
             raise ValueError(f"relation {name} needs delta >= {low}, got {db} for {beta}")
-        evaluator = RelationEvaluator(beta, divisors, self._splitting_data(beta))
+        evaluator = RelationEvaluator(beta, divisors, project(divisors, self._splitting_data(beta)))
         return evaluator.relation(name, tuple(range(len(divisors))))
 
     def relation_r1(self, beta: DivisorClass, a: DivisorClass, b: DivisorClass) -> WDVVRelation:
@@ -456,8 +473,9 @@ class GWEngine:
         """N(beta), computed and memoized once per key `blown_down_key(beta.d, beta.m)`.
 
         A hit builds no class.  Every key that is neither a seed nor `quick_vanishing` has
-        delta >= 1 and every m_i >= 2.  Keys with delta >= 3 are solved by R1 with insertions
-        (L, -K) over the orbits with d1 >= 1, keys with delta 1 or 2 by `_solve_low_delta`."""
+        delta >= 1 and every m_i >= 2.  Keys with delta >= 3 are solved by
+        `_r1_relation` over the orbits the walk lists, keys with delta 1 or 2 by
+        `_solve_low_delta`."""
         memo_key = blown_down_key(beta.d, beta.m)
         cached = self._memo.get(memo_key)
         if cached is not None:
@@ -469,21 +487,32 @@ class GWEngine:
         elif self.quick_vanishing(key):
             value = 0
         elif delta(key) >= 3:
-            surface = SurfaceModel(key.k)
-            # L and -K are fixed by every permutation of the m_i, so the sum
-            # runs over stabiliser orbits; the lhs coefficient is L.(-K) = 3 at
-            # every k, so the division still checks the rhs.  An E_i orbit adds
-            # nothing: delta(E_i) = 0 zeroes both weights of its row, and its
-            # swap's term carries the factor L.E_i = 0, so it is skipped
-            divisors = (surface.line(), surface.anticanonical())
-            evaluator = RelationEvaluator(key, divisors, self._orbit_data(key, exceptional=False))
-            value = evaluator.relation("R1", (0, 1)).solve()
+            value = self._r1_relation(key, self._orbit_data(key, _viable_multiplicities(key.m, key.d))).solve()
         else:
             value = self._solve_low_delta(key)
         if value < 0:
             raise InconsistentRelationError(f"negative count {value} for {key}")
         self._memo[memo_key] = value
         return value
+
+    def _r1_relation(self, beta: DivisorClass, rows) -> WDVVRelation:
+        """R1 with insertions (L, -K) for a key of delta >= 3, over `rows`: the `_orbit_data`
+        rows of the orbits with d1 >= 1, as `_viable_multiplicities` lists them.
+
+        L and -K are fixed by every permutation of the m_i, so the sum runs
+        over stabiliser orbits, and a row enters only through its projection
+        (L.beta1, -K.beta1) = (d1, delta(beta1) + 1), under which the
+        evaluator merges the rows; no `_orbits` entry is kept, and the rows
+        go when the solve ends.  `n_beta` builds `rows` itself, so a chain of
+        keys nests three frames per key, `n_beta` -> `_orbit_data` ->
+        `_half_value` -> `n_beta`.  The lhs coefficient is L.(-K) = 3 at
+        every k, so the division still checks the rhs.  An E_i orbit adds
+        nothing: delta(E_i) = 0 zeroes both weights of its row, and its
+        swap's term carries the factor L.E_i = 0, so it is not listed and
+        N(beta - E_i) is never read.
+        """
+        rows = (((d1, delta1 + 1), w, delta1) for (d1, _), w, delta1 in rows)
+        return RelationEvaluator(beta, _line_and_anticanonical(beta.k), rows).relation("R1", (0, 1))
 
     def _solve_low_delta(self, beta: DivisorClass) -> int:
         """N of a reduced key of delta 1 or 2, by R2 or R3 over its splitting orbits.
@@ -498,10 +527,11 @@ class GWEngine:
         is nondegenerate, a basis tuple is.  Unreduced classes may
         have none: every fixed R3 tuple on 2;1,1,1,1 is degenerate.
         """
-        m = beta.m
         basis = [SurfaceModel(beta.k).line()]
-        basis.extend(DivisorClass(0, tuple(-1 if a == v else 0 for a in m)) for v in dict.fromkeys(m))
-        evaluator = RelationEvaluator(beta, basis, self._orbit_data(beta))
+        basis.extend(DivisorClass(0, tuple(-1 if a == v else 0 for a in beta.m)) for v in dict.fromkeys(beta.m))
+        # a row's projection on the basis: d1 and the sum of m1 over each block of equal m_i
+        rows = project(basis, (((d1, *m1), w, delta1) for (d1, m1), w, delta1 in self._orbit_data(beta)))
+        evaluator = RelationEvaluator(beta, basis, rows)
         for name in ("R2", "R3"):
             arity, low = RELATIONS[name]
             if evaluator.delta < low:
@@ -564,15 +594,16 @@ class GWEngine:
         load under their key.  Undecodable bytes, any other non-ASCII character
         and a _ corrupt a line; ASCII spaces and a + sign around a number are
         read as `int` reads them.  A missing file holds no rows, and any other
-        `OSError` (a directory at `path`) propagates.
+        `OSError` (a directory at `path`) propagates.  The bytes read are kept
+        per path, so that `save_cache` can tell whether the file still holds them.
         """
         problems: list[str] = []
         try:
-            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                lines = fh.read().splitlines()
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except FileNotFoundError:
             return problems
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(raw.decode("utf-8", "surrogateescape").splitlines(), start=1):
             if not line.strip():
                 continue
             parts = line.split("\t")
@@ -595,6 +626,7 @@ class GWEngine:
                 problems.append(f"{path}:{lineno}: skipped corrupted cache line ({exc})")
                 continue
             self._memo[blown_down_key(d, m)] = value
+        self._loaded[os.fspath(path)] = raw
         return problems
 
     def save_cache(self, path: str | os.PathLike) -> None:
@@ -602,12 +634,16 @@ class GWEngine:
 
         The rows of the file on disk whose keys the memo lacks are kept, so
         writers that share a path keep each other's rows; where both hold a
-        key the memo's value wins, and corrupted lines are not copied.
+        key the memo's value wins, and corrupted lines are not copied.  When
+        the file holds the very bytes that `load_cache` merged from it, every
+        row it holds is in the memo already, so it is not parsed again.
         """
         path = os.fspath(path)
         directory = os.path.dirname(path) or "."
         disk = GWEngine()
-        disk.load_cache(path)
+        with suppress(FileNotFoundError), open(path, "rb") as fh:
+            if fh.read() != self._loaded.get(path):
+                disk.load_cache(path)
         rows = sorted({**disk._memo, **self._memo}.items(), key=lambda row: (len(row[0][1]), row[0]))  # k, d, m
         fd, tmp = tempfile.mkstemp(prefix=".dpcount-cache-", dir=directory)
         try:

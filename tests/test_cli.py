@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from dpcount import cli, verify
+from dpcount import cli, gw, verify
 from dpcount.cli import ResultRecord, build_parser, main, parse_class, sweep_classes
 from dpcount.gw import GWEngine
 from dpcount.lattice import DivisorClass
@@ -257,6 +257,19 @@ class TestCacheRows:
             counts.append(built["built"])
         assert capsys.readouterr() == ("N=12\nN=12\n", "")
         assert counts[0] == counts[1] <= 2
+
+    def test_a_miss_on_an_unchanged_file_parses_each_row_once(self, capsys, tmp_path, monkeypatch):
+        # save_cache merges the file on disk, but it holds the bytes main loaded, so it is not parsed again
+        cache = tmp_path / "cache.tsv"
+        assert main(["--cache-path", str(cache), "table", "--k", "3", "--dmax", "4"]) == 0
+        rows = cache.read_text().splitlines()
+        parsed = Counter()
+        parse_class_key = gw.parse_class_key
+        monkeypatch.setattr(gw, "parse_class_key", lambda text: parsed.update([text]) or parse_class_key(text))
+        assert main(["--cache-path", str(cache), "nbeta", "7;"]) == 0  # a miss: the file is rewritten
+        assert capsys.readouterr().out.endswith("N=14616808192\n")
+        assert set(rows) < set(cache.read_text().splitlines())
+        assert sum(parsed.values()) == len(rows)
 
 
 class TestUnusableCachePath:

@@ -14,8 +14,10 @@ from dpcount.gw import (
     UnderdeterminedError,
     WDVVRelation,
     _orbit,
+    _viable_multiplicities,
     comb0,
     divisor_pool,
+    project,
     seed_classes,
 )
 from dpcount.lattice import (
@@ -41,6 +43,11 @@ def P(d):
 def memo_key(beta):
     """The `GWEngine._memo` key of a class that is its own key (`blown_down_form`): its ints (d, m)."""
     return beta.d, beta.m
+
+
+def on_orbits(beta, divisors, rows):
+    """An evaluator over `GWEngine._orbit_data` rows, each half (d1, m1) projected by `project`."""
+    return RelationEvaluator(beta, divisors, project(divisors, [((d1, *m1), w, d) for (d1, m1), w, d in rows]))
 
 
 def box_splittings(engine, beta):
@@ -210,7 +217,7 @@ class CanonicalKeyEngine(GWEngine):
             value = 0
         elif delta(key) >= 3:
             mk = SurfaceModel(key.k).anticanonical()
-            value = RelationEvaluator(key, (mk, mk), self._orbit_data(key)).relation("R1", (0, 1)).solve()
+            value = on_orbits(key, (mk, mk), self._orbit_data(key)).relation("R1", (0, 1)).solve()
         else:
             value = pool_solve_low_delta(self, key)
         self._memo[key] = value
@@ -356,8 +363,7 @@ class TestSplittingOrbits:
                 assert len(set(pairs)) == len(pairs), beta
             if delta(beta) >= 3:
                 mk = SurfaceModel(beta.k).anticanonical()
-                evaluator = RelationEvaluator(beta, (mk, mk), engine._orbit_data(beta))
-                orbit_rhs = evaluator.relation("R1", (0, 1)).rhs
+                orbit_rhs = on_orbits(beta, (mk, mk), engine._orbit_data(beta)).relation("R1", (0, 1)).rhs
                 assert orbit_rhs == engine.relation_r1(beta, mk, mk).rhs, beta
 
     def test_walk_weights_are_orbit_lengths_in_any_order(self, engine):
@@ -396,6 +402,11 @@ class TestR1Insertions:
         canonical.add(DivisorClass(12, (3,) * 8))
         return sorted((b for b in canonical if delta(b) >= 3), key=lambda b: (b.k, b.d, b.m))
 
+    @staticmethod
+    def d1_rows(engine, beta):
+        """The rows of the orbits with d1 >= 1 that `n_beta` passes to `_r1_relation`."""
+        return engine._orbit_data(beta, _viable_multiplicities(beta.m, beta.d))
+
     def test_the_e_i_orbits_add_nothing_once_l_is_inserted(self, engine):
         # an E_i orbit gives the rows (E_i, w, 0), both of whose R1 weights are
         # 0, and (beta - E_i, w, delta - 1), whose term is -w (a.E_i)(b.E_i)
@@ -403,24 +414,45 @@ class TestR1Insertions:
         for beta in self.classes():
             surface = SurfaceModel(beta.k)
             line, mk = surface.line(), surface.anticanonical()
-            full, kept = engine._orbit_data(beta), engine._orbit_data(beta, exceptional=False)
+            full, kept = engine._orbit_data(beta), self.d1_rows(engine, beta)
             # the rows of the E_i orbits are those whose half has degree 0 or d
             assert kept == [row for row in full if 0 < row[0][0] < beta.d], beta
             dropped += len(kept) < len(full)
             for divisors in ((line, mk), (mk, line), (line, line)):
-                on_full = RelationEvaluator(beta, divisors, full).relation("R1", (0, 1))
-                on_kept = RelationEvaluator(beta, divisors, kept).relation("R1", (0, 1))
+                on_full = on_orbits(beta, divisors, full).relation("R1", (0, 1))
+                on_kept = on_orbits(beta, divisors, kept).relation("R1", (0, 1))
                 assert on_full == on_kept, (str(beta), [str(x) for x in divisors])
-            rhs = [RelationEvaluator(beta, (mk, mk), data).rhs("R1", (0, 1)) for data in (full, kept)]
+            rhs = [on_orbits(beta, (mk, mk), data).rhs("R1", (0, 1)) for data in (full, kept)]
             changed_by_minus_k += rhs[0] != rhs[1]
         # the E_i rows were there to drop, and R1(-K, -K) needs them
         assert dropped > 0 and changed_by_minus_k > 0
+
+    def test_merged_weights_give_the_relation_of_the_unmerged_rows(self, engine):
+        # the solve merges the orbits per (L.beta1, -K.beta1); summed row by row
+        # over the unmerged orbits with d1 >= 1, R1(L, -K) has the same two sides
+        merged_somewhere = False
+        for beta in self.classes():
+            surface = SurfaceModel(beta.k)
+            line, mk = surface.line(), surface.anticanonical()
+            n, rhs, projections = delta(beta) - 3, 0, set()
+            rows = self.d1_rows(engine, beta)
+            for (d1, m1), w, delta1 in rows:
+                half = DivisorClass(d1, m1)
+                a1, b1 = intersect(line, half), intersect(mk, half)
+                a2, b2 = intersect(line, beta) - a1, intersect(mk, beta) - b1
+                rhs += w * b2 * (a1 * comb0(n, delta1 - 1) - a2 * comb0(n, delta1 - 2))
+                projections.add((a1, b1))
+            merged_somewhere |= len(projections) < len(rows)
+            relation = engine._r1_relation(beta, rows)
+            assert relation == WDVVRelation("R1", (line, mk), intersect(line, mk), rhs), str(beta)
+            assert relation.lhs_coeff == 3
+        assert merged_somewhere
 
     def test_r1_minus_k_minus_k_over_every_orbit_agrees_with_the_solve(self, engine):
         # R1(-K, -K) reads the E_i orbits too, so it checks the solve's value independently
         for beta in self.classes():
             mk = SurfaceModel(beta.k).anticanonical()
-            relation = RelationEvaluator(beta, (mk, mk), engine._orbit_data(beta)).relation("R1", (0, 1))
+            relation = on_orbits(beta, (mk, mk), engine._orbit_data(beta)).relation("R1", (0, 1))
             assert relation.solve() == engine.n_beta(beta), beta
 
     def test_a_cold_count_solves_no_other_key_of_its_degree(self):
@@ -429,7 +461,41 @@ class TestR1Insertions:
         beta = DivisorClass(8, (2,) * 6)
         assert engine.n_beta(beta) == 8613864688
         assert memo_key(blown_down_form(DivisorClass(8, (3, 2, 2, 2, 2, 2)))) not in engine._memo
-        assert [b for b in engine._orbits if b.d >= beta.d] == [beta]
+        assert [key for key in engine._memo if key[0] >= beta.d] == [memo_key(beta)]
+
+    def test_a_cold_count_lists_no_orbit_rows_and_no_e_i_half(self, monkeypatch):
+        # the solve merges the walk's orbits as they come: no `_orbits` entry, and
+        # no beta - E_i row, so no quick_vanishing test of one, for any key it solves
+        tested = []
+        quick_vanishing = GWEngine.quick_vanishing
+        monkeypatch.setattr(
+            GWEngine, "quick_vanishing", lambda self, b: tested.append(b) or quick_vanishing(self, b)
+        )
+        engine = GWEngine()
+        assert engine.n_beta(DivisorClass(8, (2,) * 6)) == 8613864688
+        assert engine._orbits == {}
+        minus_e_i = {
+            (d, tuple(sorted((*m[:i], m[i] + 1, *m[i + 1 :]), reverse=True)))
+            for d, m in engine._memo
+            for i in range(len(m))
+        }
+        assert tested and [str(b) for b in tested if (b.d, tuple(sorted(b.m, reverse=True))) in minus_e_i] == []
+
+    @pytest.mark.parametrize(
+        "literal, value",
+        [
+            # recorded from the engine before the R1 solve merged its rows
+            ("14;4,4,4,4,4,4,4,4", 7022436368411200),
+            ("15;4,4,4,4,4,4,4,4", 378644557632132632544),
+            ("17;5,5,5,5,5,5,5,5", 17217270177916895232),
+        ],
+    )
+    def test_k_8_classes_where_the_rows_merge(self, literal, value):
+        # the R1 keys of these solves keep no orbit rows; the only rows left are
+        # those of 6;2^8 and 9;3^8, the delta 1 and 2 keys that `_solve_low_delta` reads
+        engine = GWEngine()
+        assert engine.n_beta(parse_class_literal(literal)) == value
+        assert {str(b) for b in engine._orbits} <= {"6;2,2,2,2,2,2,2,2", "9;3,3,3,3,3,3,3,3"}
 
     @pytest.mark.parametrize("half", ["4;2", "6;2,2,2,2,2,2,2,2"])
     def test_the_division_by_three_catches_a_poisoned_half_at_k_8(self, half):
@@ -631,6 +697,18 @@ class TestNBeta:
 
     def test_vanishing_class(self, engine):
         assert engine.n_beta(DivisorClass(2, (2, 1))) == 0
+
+    def test_a_plane_class_of_degree_260_solves_within_the_recursion_limit(self):
+        # the keys 260;, 259;, ... nest their solves, one level per degree, so the
+        # frames a level takes bound the degree the default limit of 1000 allows:
+        # 332 at three frames per level, 249 at four
+        counts = [0, 1]  # Kontsevich's recursion, bottom up, as in `oracles.plane_count`
+        for d in range(2, 261):
+            terms = (
+                (d - a) * comb0(3 * d - 4, 3 * a - 2) - a * comb0(3 * d - 4, 3 * a - 1) for a in range(1, d)
+            )
+            counts.append(sum(counts[a] * counts[d - a] * a * a * (d - a) * t for a, t in enumerate(terms, 1)))
+        assert GWEngine().n_beta(P(260)) == counts[260]
 
     def test_curves_with_a_point_of_multiplicity_one_below_the_degree(self):
         # a closed form the recursion does not use: the degree-d curves with a
@@ -954,6 +1032,19 @@ class TestCache:
         reader = GWEngine()
         assert reader.load_cache(path) == []
         assert reader._memo == {memo_key(P(1)): 1, memo_key(DivisorClass(0, (-1,))): 1}
+
+    def test_a_file_changed_since_the_load_is_merged(self, tmp_path):
+        # the bytes on disk differ from those load_cache read, so save_cache parses them
+        path = tmp_path / "cache.tsv"
+        path.write_text("v1\t0\t4;\t620\n")
+        eng = GWEngine()
+        assert eng.load_cache(path) == []
+        eng.n_beta(P(5))
+        path.write_text("v1\t0\t4;\t620\nv1\t0\t6;\t87304\n")  # another writer's row
+        eng.save_cache(path)
+        reader = GWEngine()
+        assert reader.load_cache(path) == []
+        assert reader._memo == {**eng._memo, memo_key(P(6)): 87304}
 
     def test_merge_keeps_the_memo_value_and_drops_corrupted_lines(self, tmp_path):
         path = tmp_path / "cache.tsv"
