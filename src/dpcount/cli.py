@@ -54,11 +54,6 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def parse_class(text: str) -> tuple[SurfaceModel, DivisorClass]:
-    beta = parse_class_literal(text)
-    return SurfaceModel(beta.k), beta
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpcount",
@@ -121,7 +116,7 @@ def sweep_classes(k: int, dmax: int, mmax: int | None):
 
 
 def _cmd_nbeta(engine: GWEngine, args) -> int:
-    _, beta = parse_class(args.cls)
+    beta = parse_class_literal(args.cls)
     value = engine.n_beta(beta)
     if args.format == "json":
         print(json.dumps({"k": beta.k, "cls": args.cls.strip(), "n": value}))
@@ -131,7 +126,7 @@ def _cmd_nbeta(engine: GWEngine, args) -> int:
 
 
 def _cmd_cbeta(engine: GWEngine, args) -> int:
-    _, beta = parse_class(args.cls)
+    beta = parse_class_literal(args.cls)
     result = c_beta(engine, beta)
     if args.format == "json":
         print(

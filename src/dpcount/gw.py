@@ -93,7 +93,10 @@ class ConsistencyReport:
 
 @lru_cache(maxsize=None)
 def divisor_pool(k: int) -> tuple[DivisorClass, ...]:
-    """Deterministic pool of probe divisors; the solver no longer uses it (`_solve_low_delta`)."""
+    """Deterministic pool of probe divisors: L, the E_i, -K, the L - E_i and the L - E_i - E_j.
+
+    No solve or check reads it; only the benchmark harness's set-up and the
+    tests, whose reference engines probe relations on it, use it."""
     surface = SurfaceModel(k)
     line = surface.line()
     pool = [line]
@@ -109,7 +112,7 @@ def divisor_pool(k: int) -> tuple[DivisorClass, ...]:
 
 @lru_cache(maxsize=None)
 def _line_and_anticanonical(k: int) -> tuple[DivisorClass, DivisorClass]:
-    """L and -K on the k-point blow-up, the insertions of `GWEngine._r1_relation`."""
+    """L and -K on the k-point blow-up, the insertions of every solve (`GWEngine._orbit_relation`)."""
     return SurfaceModel(k).line(), SurfaceModel(k).anticanonical()
 
 
@@ -311,20 +314,19 @@ class GWEngine:
     N is invariant under W(E_k) and under blowing down a point of
     multiplicity 0 or 1, so every class that shares a key shares one memo
     entry, solved on the smallest surface, and the persistent cache stores
-    keys only.  A key with delta >= 3 is solved by R1(L, -K) on the weights
-    of the orbits the splitting walk lists, merged per (d1, sum m1)
-    (`_r1_relation`): the E_i orbits add nothing, so that solve reads N of
-    halves of lower degree only, never of beta - E_i, and it keeps no orbit
-    rows.  The memo is an insert-only map; duplicate concurrent computation
-    is harmless because every insert for a key carries the same value.  So
-    are the splitting orbits that `_orbit_rows` keeps for the readers of
-    every orbit, and the cusp boundary sums that `cusp.c_beta` keeps, per
-    canonical class, in `cusp_boundary`.
+    keys only.  Every key is solved by one relation on L and -K over its
+    splitting orbits, merged per (d1, sum m1) (`_orbit_relation`): R1 at
+    delta >= 3, where the E_i orbits add nothing, so that solve reads N of
+    halves of lower degree only, never of beta - E_i; R2 or R3 at delta 1
+    or 2.  No orbit rows are kept: `_orbit_rows` lists them on every call.
+    The memo is an insert-only map; duplicate concurrent computation is
+    harmless because every insert for a key carries the same value.  So are
+    the cusp boundary sums that `cusp.c_beta` keeps, per canonical class, in
+    `cusp_boundary`.
     """
 
     def __init__(self):
         self._memo: dict[tuple, int] = {}  # `blown_down_key` (d, m) -> N
-        self._orbits: dict[DivisorClass, tuple] = {}  # `_orbit_rows`
         self._half_n: dict[tuple, int] = {}  # `_half_value`
         self._loaded: dict[str, bytes] = {}  # path -> the bytes `load_cache` merged from it
         self.cusp_boundary: dict[DivisorClass, Fraction] = {}
@@ -358,9 +360,9 @@ class GWEngine:
 
     def _orbit_rows(self, beta: DivisorClass) -> tuple[tuple, ...]:
         """Rows ((d1, m1), (d2, m2), orbit size, swap) of ints, one per unordered stabiliser
-        orbit of `splittings(beta)`, cached per class for the readers of every orbit:
-        `splittings`, and through `_orbit_data` the cusp boundary sum and the
-        delta 1 and 2 solves.  The R1 solve of N reads the walk directly.
+        orbit of `splittings(beta)`, listed anew on every call for the readers of
+        every orbit: `splittings`, and through `_orbit_data` the cusp boundary
+        sum and the delta 1 and 2 solves.  The R1 solve of N reads the walk directly.
 
         The stabiliser of beta permutes positions that hold equal m_i and acts
         on a pair by permuting both halves.  An orbit is represented by the
@@ -374,8 +376,6 @@ class GWEngine:
         test is left, as delta = 0 means -K.h = 1 and odd h^2 = 2g - 1 >= -1,
         so by Hodge index h is a (-1)-class or, at k = 8, -K: a seed.
         """
-        if beta in self._orbits:
-            return self._orbits[beta]
         k, d, m = beta.k, beta.d, beta.m
         rows = []
         for i in (i for i in range(k) if m[i] not in m[:i]):
@@ -383,7 +383,7 @@ class GWEngine:
             if not self.quick_vanishing(DivisorClass(d, m2)):  # true for the zero class
                 rows.append(((0, (0,) * i + (-1,) + (0,) * (k - i - 1)), (d, m2), m.count(m[i]), True))
         rows += _viable_multiplicities(m, d)
-        return self._orbits.setdefault(beta, tuple(rows))
+        return tuple(rows)
 
     def splittings(self, beta: DivisorClass) -> tuple[tuple[DivisorClass, DivisorClass], ...]:
         """All ordered pairs beta1 + beta2 = beta with both halves viable, sorted by beta1.
@@ -404,9 +404,10 @@ class GWEngine:
         over the orbit rows `orbits` of beta, by default every orbit of `_orbit_rows(beta)`;
         zeros dropped, N per half from `_half_n`, and N2 not looked up when N1 = 0.
 
-        The cusp boundary sum of `cusp.c_beta` and the R2 and R3 solves of
-        `_solve_low_delta` read every orbit, E_i orbits included; the R1 solve
-        of N reads the orbits that the walk lists for d1 >= 1 (`_r1_relation`)."""
+        The cusp boundary sum of `cusp.c_beta` and the delta 1 and 2 solves of
+        N read every orbit, E_i orbits included; the delta >= 3 solve reads the
+        orbits that the walk lists for d1 >= 1.  `_orbit_relation` takes the
+        rows of either solve."""
         get, lookup = self._half_n.get, self._half_value
         top = delta(beta) - 1  # delta(beta1) + delta(beta2)
         data = []
@@ -473,9 +474,8 @@ class GWEngine:
         """N(beta), computed and memoized once per key `blown_down_key(beta.d, beta.m)`.
 
         A hit builds no class.  Every key that is neither a seed nor `quick_vanishing` has
-        delta >= 1 and every m_i >= 2.  Keys with delta >= 3 are solved by
-        `_r1_relation` over the orbits the walk lists, keys with delta 1 or 2 by
-        `_solve_low_delta`."""
+        delta >= 1 and every m_i >= 2, and is solved by `_orbit_relation`: at delta >= 3
+        over the orbits the walk lists for d1 >= 1, at delta 1 or 2 over every orbit."""
         memo_key = blown_down_key(beta.d, beta.m)
         cached = self._memo.get(memo_key)
         if cached is not None:
@@ -486,61 +486,49 @@ class GWEngine:
             value = seed
         elif self.quick_vanishing(key):
             value = 0
-        elif delta(key) >= 3:
-            value = self._r1_relation(key, self._orbit_data(key, _viable_multiplicities(key.m, key.d))).solve()
         else:
-            value = self._solve_low_delta(key)
+            orbits = _viable_multiplicities(key.m, key.d) if delta(key) >= 3 else self._orbit_rows(key)
+            value = self._orbit_relation(key, self._orbit_data(key, orbits)).solve()
         if value < 0:
             raise InconsistentRelationError(f"negative count {value} for {key}")
         self._memo[memo_key] = value
         return value
 
-    def _r1_relation(self, beta: DivisorClass, rows) -> WDVVRelation:
-        """R1 with insertions (L, -K) for a key of delta >= 3, over `rows`: the `_orbit_data`
-        rows of the orbits with d1 >= 1, as `_viable_multiplicities` lists them.
+    def _orbit_relation(self, beta: DivisorClass, rows) -> WDVVRelation:
+        """The relation that solves a key on the insertions L and -K, over its `_orbit_data` `rows`.
 
-        L and -K are fixed by every permutation of the m_i, so the sum runs
-        over stabiliser orbits, and a row enters only through its projection
-        (L.beta1, -K.beta1) = (d1, delta(beta1) + 1), under which the
-        evaluator merges the rows; no `_orbits` entry is kept, and the rows
-        go when the solve ends.  `n_beta` builds `rows` itself, so a chain of
-        keys nests three frames per key, `n_beta` -> `_orbit_data` ->
-        `_half_value` -> `n_beta`.  The lhs coefficient is L.(-K) = 3 at
-        every k, so the division still checks the rhs.  An E_i orbit adds
-        nothing: delta(E_i) = 0 zeroes both weights of its row, and its
-        swap's term carries the factor L.E_i = 0, so it is not listed and
-        N(beta - E_i) is never read.
+        R1(L, -K) at delta >= 3; at delta 2 the first R2 tuple of (L, -K)
+        with a nonzero lhs, then R3; at delta 1 the first such R3 tuple.  L and
+        -K are fixed by every permutation of the m_i, so the sum runs over
+        stabiliser orbits, and a row enters only through its projection
+        (L.beta1, -K.beta1) = (d1, delta(beta1) + 1), under which the evaluator
+        merges the rows.  `n_beta` builds `rows` itself, so a chain of keys
+        nests three frames per key, `n_beta` -> `_orbit_data` -> `_half_value`
+        -> `n_beta`.
+
+        At delta >= 3, `rows` may leave out the E_i orbits: delta(E_i) = 0
+        zeroes both weights of its row, and its swap's term carries the factor
+        L.E_i = 0, so N(beta - E_i) is never read.  The lhs is L.(-K) = 3 at
+        every k, so the division still checks the rhs; R1(L, L), of lhs 1,
+        would check nothing.  At delta 1 and 2 the rows hold every orbit.
+        Domain there: reduced keys (`reduced_form`), neither seeds nor
+        `quick_vanishing`; d >= m_1 + m_2 + m_3 >= 3 m_4 and k <= 8 give
+        3d - 3 <= sum(m) <= 8d/3, so d <= 9.  Of the blown-down keys, every
+        m_i >= 2, just 6;2^8 (delta 1) and 9;3^8 (delta 2) are met; their
+        m_i are all equal, so L and -K span the divisors their stabiliser
+        fixes, and if any fixed tuple is nondegenerate, one on (L, -K) is.
+        An unreduced class may have none: every fixed R3 tuple on 2;1,1,1,1
+        is degenerate, and `UnderdeterminedError` is raised.
         """
         rows = (((d1, delta1 + 1), w, delta1) for (d1, _), w, delta1 in rows)
-        return RelationEvaluator(beta, _line_and_anticanonical(beta.k), rows).relation("R1", (0, 1))
-
-    def _solve_low_delta(self, beta: DivisorClass) -> int:
-        """N of a reduced key of delta 1 or 2, by R2 or R3 over its splitting orbits.
-
-        Domain: reduced keys (`reduced_form`), neither seeds nor `quick_vanishing`;
-        d >= m_1 + m_2 + m_3 >= 3 m_4 and k <= 8 give 3d - 3 <= sum(m) <= 8d/3,
-        so d <= 9.  `n_beta` sends only its blown-down keys, every m_i >= 2:
-        of those just 6;2^8 (delta 1) and 9;3^8 (delta 2) reach this solve.
-        The probes L and one sum of E_i per value of m span the divisors that
-        beta's stabiliser fixes.  On those the orbit-weighted sum is the full
-        splitting sum, and both sides are multilinear, so if any fixed tuple
-        is nondegenerate, a basis tuple is.  Unreduced classes may
-        have none: every fixed R3 tuple on 2;1,1,1,1 is degenerate.
-        """
-        basis = [SurfaceModel(beta.k).line()]
-        basis.extend(DivisorClass(0, tuple(-1 if a == v else 0 for a in beta.m)) for v in dict.fromkeys(beta.m))
-        # a row's projection on the basis: d1 and the sum of m1 over each block of equal m_i
-        rows = project(basis, (((d1, *m1), w, delta1) for (d1, m1), w, delta1 in self._orbit_data(beta)))
-        evaluator = RelationEvaluator(beta, basis, rows)
-        for name in ("R2", "R3"):
-            arity, low = RELATIONS[name]
-            if evaluator.delta < low:
-                continue
-            for ins in product(range(len(basis)), repeat=arity):
-                if evaluator.lhs(name, ins) != 0:
-                    return evaluator.relation(name, ins).solve()
+        evaluator = RelationEvaluator(beta, _line_and_anticanonical(beta.k), rows)
+        for name, (arity, low) in RELATIONS.items():
+            if evaluator.delta >= low:
+                for ins in [(0, 1)] if name == "R1" else product((0, 1), repeat=arity):
+                    if evaluator.lhs(name, ins) != 0:
+                        return evaluator.relation(name, ins)
         raise UnderdeterminedError(
-            f"no nondegenerate relation on the stabiliser-invariant basis for {beta} "
+            f"no nondegenerate relation on L and -K for {beta} "
             f"(k={beta.k}, delta={evaluator.delta}); the solve needs a reduced key"
         )
 
@@ -587,6 +575,9 @@ class GWEngine:
     def load_cache(self, path: str | os.PathLike) -> list[str]:
         """Merge a cache file into the memo; returns reports for skipped lines.
 
+        Rows end at a newline only, as `save_cache` writes them: a vertical
+        tab, form feed or U+2028 is part of its line, never a row break, and
+        a trailing carriage return is read as `int` reads spaces.
         Each row must hold a canonical (non-increasing) class.  It is parsed
         to ints and filed under its memo key, the (d, m) of `blown_down_form`,
         so no row builds a class; a later row wins over an earlier one, and
@@ -603,7 +594,7 @@ class GWEngine:
                 raw = fh.read()
         except FileNotFoundError:
             return problems
-        for lineno, line in enumerate(raw.decode("utf-8", "surrogateescape").splitlines(), start=1):
+        for lineno, line in enumerate(raw.decode("utf-8", "surrogateescape").split("\n"), start=1):
             if not line.strip():
                 continue
             parts = line.split("\t")

@@ -6,25 +6,9 @@ from collections import Counter
 import pytest
 
 from dpcount import cli, gw, verify
-from dpcount.cli import ResultRecord, build_parser, main, parse_class, sweep_classes
+from dpcount.cli import ResultRecord, build_parser, main, sweep_classes
 from dpcount.gw import GWEngine
 from dpcount.lattice import DivisorClass
-
-
-class TestParseClass:
-    def test_two_blowups(self):
-        surface, beta = parse_class("4;1,1")
-        assert surface.k == 2
-        assert beta == DivisorClass(4, (1, 1))
-
-    def test_plane(self):
-        surface, beta = parse_class("3;")
-        assert surface.k == 0
-        assert beta == DivisorClass(3, ())
-
-    def test_k9_rejected(self):
-        with pytest.raises(ValueError, match=r"k=9 is outside the allowed range 0\.\.8"):
-            parse_class("2;1,1,1,1,1,1,1,1,1")
 
 
 class TestExitCodes:

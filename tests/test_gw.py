@@ -145,12 +145,13 @@ def pool_relations(engine, beta, tuples, keep_zero_lhs=False):
 
 
 def pool_solve_low_delta(engine, beta):
-    """Reference for `GWEngine._solve_low_delta`: the solver it replaced, over `divisor_pool`.
+    """Reference for the delta 1 and 2 solves of `GWEngine._orbit_relation`: the solver they
+    replaced, over `divisor_pool`.
 
     The first pool tuple with lhs != 0, R2 before R3, solved over the whole
-    splitting list.  Unlike the basis solve it needs no reduced key: it also
-    solves classes such as 2;1,1,1,1, where every stabiliser-invariant R3
-    tuple is degenerate.
+    splitting list.  Unlike the solve on L and -K it needs no reduced key: it
+    also solves classes such as 2;1,1,1,1, where every stabiliser-invariant
+    R3 tuple is degenerate.
     """
     db = delta(beta)
     pool = divisor_pool(beta.k)
@@ -234,9 +235,19 @@ def lhs_zero_poisoned_engine():
     """
     engine = GWEngine()
     beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
-    engine._orbits[beta] = (((e1.d, e1.m), (bad.d, bad.m), 1, True),)
+    rows = (((e1.d, e1.m), (bad.d, bad.m), 1, True),)
+    engine._orbit_rows = lambda b: rows if b == beta else GWEngine._orbit_rows(engine, b)
     engine._memo[memo_key(bad)] = 1
     return engine, beta
+
+
+@pytest.fixture
+def orbit_row_calls(monkeypatch):
+    """The classes, as literals, whose rows `GWEngine._orbit_rows` lists, once per call."""
+    calls = []
+    orbit_rows = GWEngine._orbit_rows
+    monkeypatch.setattr(GWEngine, "_orbit_rows", lambda self, b: calls.append(str(b)) or orbit_rows(self, b))
+    return calls
 
 
 def small_classes():
@@ -404,7 +415,7 @@ class TestR1Insertions:
 
     @staticmethod
     def d1_rows(engine, beta):
-        """The rows of the orbits with d1 >= 1 that `n_beta` passes to `_r1_relation`."""
+        """The rows of the orbits with d1 >= 1 that `n_beta` passes to `_orbit_relation` at delta >= 3."""
         return engine._orbit_data(beta, _viable_multiplicities(beta.m, beta.d))
 
     def test_the_e_i_orbits_add_nothing_once_l_is_inserted(self, engine):
@@ -443,7 +454,7 @@ class TestR1Insertions:
                 rhs += w * b2 * (a1 * comb0(n, delta1 - 1) - a2 * comb0(n, delta1 - 2))
                 projections.add((a1, b1))
             merged_somewhere |= len(projections) < len(rows)
-            relation = engine._r1_relation(beta, rows)
+            relation = engine._orbit_relation(beta, rows)
             assert relation == WDVVRelation("R1", (line, mk), intersect(line, mk), rhs), str(beta)
             assert relation.lhs_coeff == 3
         assert merged_somewhere
@@ -463,8 +474,8 @@ class TestR1Insertions:
         assert memo_key(blown_down_form(DivisorClass(8, (3, 2, 2, 2, 2, 2)))) not in engine._memo
         assert [key for key in engine._memo if key[0] >= beta.d] == [memo_key(beta)]
 
-    def test_a_cold_count_lists_no_orbit_rows_and_no_e_i_half(self, monkeypatch):
-        # the solve merges the walk's orbits as they come: no `_orbits` entry, and
+    def test_a_cold_count_lists_no_orbit_rows_and_no_e_i_half(self, monkeypatch, orbit_row_calls):
+        # the solve merges the walk's orbits as they come: no `_orbit_rows` call, and
         # no beta - E_i row, so no quick_vanishing test of one, for any key it solves
         tested = []
         quick_vanishing = GWEngine.quick_vanishing
@@ -473,7 +484,7 @@ class TestR1Insertions:
         )
         engine = GWEngine()
         assert engine.n_beta(DivisorClass(8, (2,) * 6)) == 8613864688
-        assert engine._orbits == {}
+        assert orbit_row_calls == []
         minus_e_i = {
             (d, tuple(sorted((*m[:i], m[i] + 1, *m[i + 1 :]), reverse=True)))
             for d, m in engine._memo
@@ -490,12 +501,13 @@ class TestR1Insertions:
             ("17;5,5,5,5,5,5,5,5", 17217270177916895232),
         ],
     )
-    def test_k_8_classes_where_the_rows_merge(self, literal, value):
-        # the R1 keys of these solves keep no orbit rows; the only rows left are
-        # those of 6;2^8 and 9;3^8, the delta 1 and 2 keys that `_solve_low_delta` reads
+    def test_k_8_classes_where_the_rows_merge(self, literal, value, orbit_row_calls):
+        # the R1 keys of these solves list no orbit rows; the only rows listed are
+        # those of 6;2^8 and 9;3^8, the delta 1 and 2 keys, once each
         engine = GWEngine()
         assert engine.n_beta(parse_class_literal(literal)) == value
-        assert {str(b) for b in engine._orbits} <= {"6;2,2,2,2,2,2,2,2", "9;3,3,3,3,3,3,3,3"}
+        assert set(orbit_row_calls) <= {"6;2,2,2,2,2,2,2,2", "9;3,3,3,3,3,3,3,3"}
+        assert len(set(orbit_row_calls)) == len(orbit_row_calls)
 
     @pytest.mark.parametrize("half", ["4;2", "6;2,2,2,2,2,2,2,2"])
     def test_the_division_by_three_catches_a_poisoned_half_at_k_8(self, half):
@@ -595,8 +607,11 @@ class TestLowDelta:
             for b in keys
             if reduced_form(b) == b and engine.seed_value(b) is None and not engine.quick_vanishing(b)
         ]
-        # _solve_low_delta raises UnderdeterminedError when no basis tuple is nondegenerate
-        assert {str(b): engine._solve_low_delta(b) for b in keys} == LOW_DELTA_KEYS
+        # of these keys only two are their own memo key, so only they reach the solve
+        own_keys = [str(b) for b in keys if blown_down_key(b.d, b.m) == (b.d, b.m)]
+        assert own_keys == ["6;2,2,2,2,2,2,2,2", "9;3,3,3,3,3,3,3,3"]
+        # _orbit_relation raises UnderdeterminedError when no tuple on (L, -K) is nondegenerate
+        assert {str(b): engine._orbit_relation(b, engine._orbit_data(b)).solve() for b in keys} == LOW_DELTA_KEYS
         assert {str(b): pool_solve_low_delta(reference, b) for b in keys} == LOW_DELTA_KEYS
         assert all(engine.n_beta(b) == LOW_DELTA_KEYS[str(b)] for b in keys)
 
@@ -604,8 +619,22 @@ class TestLowDelta:
         engine = GWEngine()
         beta = DivisorClass(2, (1, 1, 1, 1))
         with pytest.raises(UnderdeterminedError, match="2;1,1,1,1"):
-            engine._solve_low_delta(beta)
+            engine._orbit_relation(beta, engine._orbit_data(beta))
         assert pool_solve_low_delta(engine, beta) == engine.n_beta(beta) == 1
+
+    @pytest.mark.parametrize(
+        "literal, name, insertions, lhs, value",
+        [("6;2,2,2,2,2,2,2,2", "R3", "LLKK", -32, 90), ("9;3,3,3,3,3,3,3,3", "R2", "LLK", -24, 2880)],
+    )
+    def test_the_blown_down_keys_solve_on_l_and_minus_k(self, literal, name, insertions, lhs, value):
+        # the first tuple of (L, -K) with lhs != 0; |lhs| > 1, so the division checks the rhs
+        surface = SurfaceModel(8)
+        divisors = {"L": surface.line(), "K": surface.anticanonical()}
+        engine = GWEngine()
+        beta = parse_class_literal(literal)
+        relation = engine._orbit_relation(beta, engine._orbit_data(beta))
+        assert relation[:3] == (name, tuple(divisors[x] for x in insertions), lhs)
+        assert relation.solve() == value == engine.n_beta(beta)
 
 
 class TestRelationR1:
@@ -780,8 +809,8 @@ class TestConsistencyCheck:
         "literal", ["7;3,2,2,2,2,2,2,2", "8;2,2,2,2,2,2", "6;2,2,2,2,2,2,2,2", "9;3,3,3,3,3,3,3,3"]
     )
     def test_large_k_classes_on_the_full_basis(self, literal):
-        # the two cold_nbeta anchors, and the only blown-down keys that reach
-        # _solve_low_delta (delta 1 and 2); N comes from the int orbit rows,
+        # the two cold_nbeta anchors, and the only blown-down keys of delta 1 and 2,
+        # solved by R3 and R2 on (L, -K); N comes from the int orbit rows,
         # the relations are summed over the ordered DivisorClass splittings
         report = GWEngine().consistency_check(parse_class_literal(literal))
         assert report.consistent
@@ -1020,6 +1049,16 @@ class TestCache:
             memo_key(P(5)): 87304,
             memo_key(P(7)): 14616808192,
         }
+
+    def test_rows_end_at_a_newline_only(self, tmp_path):
+        # str.splitlines() would also break at the vertical tab, start a row
+        # 4; = 999 there and number the lines after it one too high
+        path = tmp_path / "cache.tsv"
+        path.write_text("v1\t0\t1;\t1\njunk\x0bv1\t0\t4;\t999\nv1\t0\t2;\t1\nbad\n")
+        eng = GWEngine()
+        problems = eng.load_cache(path)
+        assert [line.split(": ")[0] for line in problems] == [f"{path}:2", f"{path}:4"]
+        assert eng._memo == {memo_key(P(1)): 1, memo_key(P(2)): 1}
 
     def test_writers_sharing_a_path_keep_each_others_rows(self, tmp_path):
         path = tmp_path / "cache.tsv"
