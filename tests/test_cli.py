@@ -52,12 +52,26 @@ class TestSingleClassCommands:
         assert main(["--format", "json", "nbeta", "5;"]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 87304
 
+    def test_cbeta_warning_goes_to_stderr(self, capsys):
+        assert main(["cbeta", "2;"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "C=0 first=3/2 boundary=-3/2 valid=false\n"
+        assert captured.err.startswith("warning: hypothesis N(-1;) > 0 fails; ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
 
 class TestSeeds:
     def test_k1(self, capsys):
         assert main(["seeds", "--k", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["1\t1;0\t1", "1\t1;1\t1", "1\t0;-1\t1"]
+
+    def test_k1_json(self, capsys):
+        assert main(["--format", "json", "seeds", "--k", "1"]) == 0
+        assert capsys.readouterr().out == (
+            '[{"k": 1, "cls": "1;0", "n": 1}, {"k": 1, "cls": "1;1", "n": 1}, '
+            '{"k": 1, "cls": "0;-1", "n": 1}]\n'
+        )
 
     def test_k8_includes_anticanonical(self, capsys):
         assert main(["seeds", "--k", "8"]) == 0

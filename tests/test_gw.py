@@ -32,7 +32,7 @@ from dpcount.lattice import (
     parse_class_literal,
     reduced_form,
 )
-from dpcount import verify
+from dpcount import gw, verify
 from oracles import plane_count
 
 
@@ -302,6 +302,13 @@ class TestQuickVanishing:
         assert not engine.quick_vanishing(P(1))
         assert not engine.quick_vanishing(DivisorClass(0, (0, -1)))
         assert not engine.quick_vanishing(DivisorClass(2, (1, 1, 1, 1)))
+
+    def test_the_verdict_does_not_depend_on_the_order_of_m(self, engine):
+        # so the samplers in `verify` may test a drawn class as it is drawn
+        classes = list(small_classes())
+        classes += [DivisorClass(b.d, b.m[::-1]) for b in large_classes()]
+        for beta in classes:
+            assert engine.quick_vanishing(beta) == engine.quick_vanishing(canonical_form(beta)), beta
 
 
 class TestSplittings:
@@ -1101,4 +1108,20 @@ class TestCache:
         eng = GWEngine()
         eng.n_beta(P(3))
         eng.save_cache(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.tsv"]
+
+    def test_a_failed_write_keeps_the_old_file_and_removes_the_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.tsv"
+        path.write_text("v1\t0\t4;\t620\n")
+        before = path.read_bytes()
+        eng = GWEngine()
+        eng.n_beta(P(5))
+
+        def failing_replace(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(gw.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="simulated rename failure"):
+            eng.save_cache(path)
+        assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cache.tsv"]
