@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -33,25 +32,19 @@ from .lattice import (
 from .verify import SUITES
 
 
-@dataclass
-class ResultRecord:
-    """One table row: surface, class literal, both counts, validity flag."""
-
-    k: int
-    cls: str
-    n: int
-    c: int
-    valid: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    def to_tsv(self) -> str:
-        return f"{self.k}\t{self.cls}\t{self.n}\t{self.c}\t{_flag(self.valid)}"
-
-
 def _flag(value: bool) -> str:
     return "true" if value else "false"
+
+
+def _tsv(row: dict) -> str:
+    """A row's values in field order, tab-separated, with flags as `true`/`false`."""
+    return "\t".join([_flag(v) if isinstance(v, bool) else str(v) for v in row.values()])
+
+
+def _emit(args, record, lines) -> None:
+    """Print `record` as one JSON line under `--format json`, else each TSV line of `lines`."""
+    for line in [json.dumps(record)] if args.format == "json" else lines:
+        print(line)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,35 +111,28 @@ def sweep_classes(k: int, dmax: int, mmax: int | None):
 def _cmd_nbeta(engine: GWEngine, args) -> int:
     beta = parse_class_literal(args.cls)
     value = engine.n_beta(beta)
-    if args.format == "json":
-        print(json.dumps({"k": beta.k, "cls": args.cls.strip(), "n": value}))
-    else:
-        print(f"N={value}")
+    _emit(args, {"k": beta.k, "cls": args.cls.strip(), "n": value}, [f"N={value}"])
     return 0
 
 
 def _cmd_cbeta(engine: GWEngine, args) -> int:
     beta = parse_class_literal(args.cls)
     result = c_beta(engine, beta)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "k": beta.k,
-                    "cls": args.cls.strip(),
-                    "c": result.value,
-                    "first_term": str(result.first_term),
-                    "boundary_term": str(result.boundary_term),
-                    "valid": result.valid,
-                    "warnings": result.warnings,
-                }
-            )
-        )
-    else:
-        print(
-            f"C={result.value} first={result.first_term} "
-            f"boundary={result.boundary_term} valid={_flag(result.valid)}"
-        )
+    record = {
+        "k": beta.k,
+        "cls": args.cls.strip(),
+        "c": result.value,
+        "first_term": str(result.first_term),
+        "boundary_term": str(result.boundary_term),
+        "valid": result.valid,
+        "warnings": result.warnings,
+    }
+    line = (
+        f"C={result.value} first={result.first_term} "
+        f"boundary={result.boundary_term} valid={_flag(result.valid)}"
+    )
+    _emit(args, record, [line])
+    if args.format == "tsv":  # the JSON record carries them
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
     return 0
@@ -154,27 +140,17 @@ def _cmd_cbeta(engine: GWEngine, args) -> int:
 
 def _cmd_table(engine: GWEngine, args) -> int:
     SurfaceModel(args.k)  # rejects k outside 0..8 before the sweep
-    records = []
+    rows = []
     for beta in sweep_classes(args.k, args.dmax, args.mmax):
         try:
             result = c_beta(engine, beta)
         except (ValueError, InconsistentRelationError) as exc:
             print(f"note: skipped {beta}: {exc}", file=sys.stderr)
             continue
-        records.append(
-            ResultRecord(
-                k=beta.k,
-                cls=format_class_literal(beta),
-                n=result.n,
-                c=result.value,
-                valid=result.valid,
-            )
+        rows.append(
+            {"k": beta.k, "cls": format_class_literal(beta), "n": result.n, "c": result.value, "valid": result.valid}
         )
-    if args.format == "json":
-        print(json.dumps([r.to_json() for r in records]))
-    else:
-        for record in records:
-            print(record.to_tsv())
+    _emit(args, rows, map(_tsv, rows))
     return 0
 
 
@@ -186,16 +162,8 @@ def _cmd_verify(engine: GWEngine, args) -> int:
 
 
 def _cmd_seeds(engine: GWEngine, args) -> int:
-    seeds = seed_classes(args.k)
-    if args.format == "json":
-        print(
-            json.dumps(
-                [{"k": args.k, "cls": format_class_literal(b), "n": n} for b, n in seeds.items()]
-            )
-        )
-    else:
-        for beta, n in seeds.items():
-            print(f"{args.k}\t{format_class_literal(beta)}\t{n}")
+    rows = [{"k": args.k, "cls": format_class_literal(b), "n": n} for b, n in seed_classes(args.k).items()]
+    _emit(args, rows, map(_tsv, rows))
     return 0
 
 

@@ -319,10 +319,8 @@ class GWEngine:
     delta >= 3, where the E_i orbits add nothing, so that solve reads N of
     halves of lower degree only, never of beta - E_i; R2 or R3 at delta 1
     or 2.  No orbit rows are kept: `_orbit_rows` lists them on every call.
-    The memo is an insert-only map; duplicate concurrent computation is
-    harmless because every insert for a key carries the same value.  So are
-    the cusp boundary sums that `cusp.c_beta` keeps, per canonical class, in
-    `cusp_boundary`.
+    The memo is an insert-only map, and so are the cusp boundary sums that
+    `cusp.c_beta` keeps, per canonical class, in `cusp_boundary`.
     """
 
     def __init__(self):

@@ -59,7 +59,7 @@ def test_criterion_3_plane_cuspidal_counts(engine):
 
 def test_criterion_4_blowup_invariance(engine):
     t0 = time.time()
-    ok, lines = blowup_suite(engine, d_max=5, k_max=3, max_ones=3)
+    ok, lines = blowup_suite(engine)
     report("4 (blow-up invariance)", ok, time.time() - t0, 10.0)
 
 
@@ -119,7 +119,7 @@ def test_criterion_7_integrality_sweep(engine):
 
 def test_criterion_8_permutation_symmetry(engine):
     t0 = time.time()
-    ok, lines = symmetry_suite(engine, samples=100, seed=1)
+    ok, lines = symmetry_suite(engine)
     report("8 (permutation symmetry)", ok, time.time() - t0, 30.0)
 
 
@@ -163,7 +163,7 @@ def test_criterion_10_cremona_extended(engine):
     # N and C against the quadratic transform, over the range the Weyl-orbit
     # memo key is checked on by tests/test_gw.py (k = 3..8, d <= 7)
     t0 = time.time()
-    ok, lines = cremona_suite(engine, ks=(3, 4, 5, 6, 7, 8), d_max=7)
+    ok, lines = cremona_suite(engine)
     for line in lines:
         print(line)
     assert lines[-1] == "cremona invariance: 4677 pairs, ok"
