@@ -168,3 +168,9 @@ def test_criterion_10_cremona_extended(engine):
         print(line)
     assert lines[-1] == "cremona invariance: 4677 pairs, ok"
     report("10 (cremona invariance of N and C, k = 3..8, d <= 7)", ok, time.time() - t0, 120.0)
+
+
+def test_every_exported_name_exists():
+    # `from dpcount import *` fails on a stale __all__ entry
+    missing = [name for name in dpcount.__all__ if not hasattr(dpcount, name)]
+    assert not missing

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -7,6 +9,7 @@ import dpcount
 from dpcount.cusp import c_beta, first_term, splitting_term
 from dpcount.gw import GWEngine, InconsistentRelationError
 from dpcount.lattice import DivisorClass, delta, parse_class_literal
+from dpcount import verify
 from dpcount.verify import blowup_invariance_check
 from oracles import plane_cusp_count
 
@@ -76,6 +79,19 @@ class TestCBeta:
     def test_matches_independent_plane_evaluation(self, engine):
         for d in range(2, 7):
             assert c_beta(engine, P(d)).value == plane_cusp_count(d)
+
+    def test_negative_count_with_failed_hypothesis_is_flagged(self):
+        engine = GWEngine()
+        first = c_beta(engine, P(2)).first_term
+        engine.cusp_boundary[P(2)] = -first - 5
+        result = c_beta(engine, P(2))
+        assert (result.value, result.valid) == (-5, False)
+        assert (result.first_term, result.boundary_term) == (Fraction(3, 2), Fraction(-13, 2))
+        assert result.warnings == [
+            "hypothesis N(-1;) > 0 fails; the returned value is "
+            "conjectural (numerically the formula is expected to hold anyway)",
+            "negative count -5 for 2;; flagged for investigation",
+        ]
 
     def test_rejects_negative_multiplicity(self, engine):
         with pytest.raises(ValueError):
@@ -189,6 +205,52 @@ class TestBlowupInvariance:
 
     def test_exported_by_the_package(self):
         assert dpcount.blowup_invariance_check is blowup_invariance_check
+
+
+class TestSuiteFailurePaths:
+    """A poisoned count must turn each suite's verdict to FAIL and name the class."""
+
+    def test_blowup_suite_names_the_poisoned_pattern(self):
+        engine = GWEngine()
+        c_beta(engine, DivisorClass(3, (1,)))
+        engine.cusp_boundary[DivisorClass(3, (1,))] += 1
+        assert verify.blowup_suite(engine) == (
+            False,
+            ["FAIL d=3 pattern=(1,)", "blow-up invariance: 56 cases, FAIL"],
+        )
+
+    def test_cremona_suite_names_both_directions(self):
+        engine = GWEngine()
+        c_beta(engine, DivisorClass(1, (0, 0, 0)))
+        engine.cusp_boundary[DivisorClass(1, (0, 0, 0))] += 1
+        assert verify.cremona_suite(engine) == (
+            False,
+            [
+                "FAIL 1;0,0,0 -> 2;1,1,1: (N, C) (1, 1) != (1, 0)",
+                "FAIL 2;1,1,1 -> 1;0,0,0: (N, C) (1, 0) != (1, 1)",
+                "cremona invariance: 4677 pairs, FAIL",
+            ],
+        )
+
+    def test_symmetry_suite_names_each_differing_shuffle(self, engine, monkeypatch):
+        def unsorted_off_by_one(engine, beta):
+            result = c_beta(engine, beta)
+            if list(beta.m) == sorted(beta.m, reverse=True):
+                return result
+            return dataclasses.replace(result, value=result.value + 1)
+
+        monkeypatch.setattr(verify, "c_beta", unsorted_off_by_one)
+        ok, lines = verify.symmetry_suite(engine)
+        assert not ok
+        assert len(lines) == 50 and all(line.startswith("FAIL ") for line in lines[:-1])
+        assert lines[0] == "FAIL 5;4,1 vs 5;1,4: counts differ under permutation"
+        assert lines[-1] == "symmetry: 100 classes x 4 shuffles, FAIL"
+
+    def test_random_classes_raises_when_nothing_qualifies(self, engine):
+        # delta = 3d - 1 >= 2 on the plane, so delta_max = 0 admits nothing
+        with pytest.raises(RuntimeError) as excinfo:
+            verify.random_classes(random.Random(0), 1, k_max=0, delta_max=0, engine=engine)
+        assert str(excinfo.value) == "random class sampler exhausted its attempt budget"
 
 
 class TestIntegralitySweep:

@@ -53,6 +53,30 @@ class TestSurfaceModel:
             assert intersect(surface.anticanonical(), surface.exceptional(i)) == 1
 
 
+class TestDomainErrors:
+    @staticmethod
+    def message(excinfo):
+        assert excinfo.type is ValueError
+        return str(excinfo.value)
+
+    def test_exceptional_index_out_of_range(self):
+        with pytest.raises(ValueError) as excinfo:
+            SurfaceModel(3).exceptional(3)
+        assert self.message(excinfo) == "exceptional index 3 out of range for k=3"
+
+    def test_class_with_nine_blowups(self):
+        with pytest.raises(ValueError) as excinfo:
+            DivisorClass(1, (0,) * 9)
+        assert self.message(excinfo) == "blow-up count k=9 is outside the allowed range 0..8"
+
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_arithmetic_across_surfaces(self, op):
+        a, b = DivisorClass(1, (1,)), DivisorClass(1, ())
+        with pytest.raises(ValueError) as excinfo:
+            a + b if op == "add" else a - b
+        assert self.message(excinfo) == "classes live on different surfaces: k=1 vs k=0"
+
+
 class TestIntersect:
     def test_basis_pairings(self):
         assert intersect(L2, L2) == 1
