@@ -5,7 +5,7 @@ integer homology lattice; cuspidal counts from a closed formula on top of
 them.  Everything is exact: integers and fractions, no floats.
 """
 
-from .cusp import CuspResult, c_beta, first_term, splitting_term
+from .cusp import CuspResult, c_beta, splitting_term
 from .gw import (
     CACHE_ENV_VAR,
     ConsistencyReport,
@@ -41,13 +41,11 @@ __all__ = [
     "UnderdeterminedError",
     "WDVVRelation",
     "arithmetic_genus",
-    "blowup_invariance_check",
     "c_beta",
     "canonical_form",
     "cremona_image",
     "delta",
     "divisor_pool",
-    "first_term",
     "format_class_literal",
     "intersect",
     "minus_one_classes",
@@ -57,11 +55,3 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    # verification code is loaded on first use, so `import dpcount` does not pay for it
-    if name == "blowup_invariance_check":
-        from .verify import blowup_invariance_check
-
-        return blowup_invariance_check
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,21 +25,6 @@ class CuspResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def first_term(engine: GWEngine, beta: DivisorClass) -> Fraction:
-    """((3 + k) - (9 - k) / deg) * N_beta, with deg the anticanonical degree."""
-    return _first_factor(beta) * engine.n_beta(beta)
-
-
-def _first_factor(beta: DivisorClass) -> Fraction:
-    """(3 + k) - (9 - k) / deg, the first term over N_beta; deg must be positive."""
-    deg = beta.anticanonical_degree()
-    if deg == 0:
-        raise ValueError(f"class {beta} has anticanonical degree 0: formula divides by it")
-    if deg < 0:
-        raise ValueError(f"class {beta} has negative anticanonical degree {deg}")
-    return Fraction(3 + beta.k) - Fraction(9 - beta.k, deg)
-
-
 def _boundary_factor(db: int, d1: int) -> Fraction:
     """C(D-1, d1) * (deg1 * deg2 / (2 deg) - 1): a splitting's term over N1 * N2 * (beta1.beta2).
 
@@ -67,17 +52,18 @@ def splitting_term(
 def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     """Number of rational beta-curves through delta(beta) - 1 points with a cusp.
 
-    The first term is `_first_factor(beta) * N(beta)`.  The boundary term is
-    the sum of `splitting_term` over the ordered splittings, taken over the
-    splitting orbit rows, one Fraction per distinct delta(beta1).  Both
+    The first term is ((3 + k) - (9 - k) / deg) * N(beta), with deg = delta + 1
+    the anticanonical degree, so deg >= 2 on this domain.  The boundary term
+    is the sum of `splitting_term` over the ordered splittings, taken over
+    the splitting orbit rows, one Fraction per distinct delta(beta1).  Both
     stay Fractions; their sum must be an integer, or the count raises."""
     if any(mi < 0 for mi in beta.m):
         raise ValueError(f"class {beta} has a negative multiplicity; all m_i >= 0 required")
     db = delta(beta)
     if db < 1:
         raise ValueError(f"class {beta} has delta = {db} < 1")
-    n = engine.n_beta(beta)  # c_beta's domain keeps deg >= 2, so _first_factor cannot raise
-    ft = _first_factor(beta) * n
+    n = engine.n_beta(beta)
+    ft = (Fraction(3 + beta.k) - Fraction(9 - beta.k, db + 1)) * n
     # the boundary sum is the same for every permutation of beta, so it is
     # kept per canonical class.  Its rows (half, w, delta1) are those of every
     # splitting orbit, `GWEngine._orbit_data`: w = size * N1 * N2 * (beta1.beta2) per stabiliser

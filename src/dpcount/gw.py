@@ -32,7 +32,6 @@ from .lattice import (
     blown_down_key,
     delta,
     intersect,
-    is_exceptional,
     minus_one_classes,
     parse_class_key,
 )
@@ -79,7 +78,6 @@ class ConsistencyReport:
     beta: DivisorClass
     value: int
     relations: list[WDVVRelation] = field(default_factory=list)
-    note: str = ""
 
     @property
     def consistent(self) -> bool:
@@ -345,7 +343,8 @@ class GWEngine:
     def quick_vanishing(self, beta: DivisorClass) -> bool:
         """True when N is certainly zero for geometric reasons."""
         if beta.d <= 0:
-            return beta.d < 0 or not is_exceptional(beta)
+            # the only seeds of degree 0 are the E_i
+            return beta.d < 0 or self.seed_value(beta) is None
         return (
             min(beta.m, default=0) < 0
             or max(beta.m, default=0) > beta.d
@@ -562,10 +561,6 @@ class GWEngine:
                 if lhs or rhs:  # tuples that read 0 = 0 get no WDVVRelation
                     divisors = tuple(evaluator.divisors[i] for i in ins)
                     report.relations.append(WDVVRelation(name, divisors, lhs, rhs))
-        if not any(r.lhs_coeff for r in report.relations):
-            seed = self.seed_value(beta)
-            origin = f"seed = {seed}" if seed is not None else f"filters = {value}"
-            report.note = f"no applicable nondegenerate relation; value from {origin}"
         return report
 
     # --------------------------------------------------------------- caching

@@ -177,11 +177,6 @@ def _cremona_reduce(d: int, m: tuple) -> tuple[int, list[int]]:
     return d, m
 
 
-def is_exceptional(beta: DivisorClass) -> bool:
-    """True iff beta equals some E_i."""
-    return beta.d == 0 and sorted(beta.m) == [-1] + [0] * (beta.k - 1)
-
-
 @lru_cache(maxsize=None)
 def minus_one_classes(k: int) -> tuple[DivisorClass, ...]:
     """All classes with beta^2 = -1 and (-K).beta = 1 (includes every E_i), sorted by (d, m).

@@ -5,12 +5,10 @@ from itertools import permutations, product
 
 import pytest
 
-import dpcount
-from dpcount.cusp import c_beta, first_term, splitting_term
+from dpcount.cusp import c_beta, splitting_term
 from dpcount.gw import GWEngine, InconsistentRelationError
 from dpcount.lattice import DivisorClass, delta, parse_class_literal
 from dpcount import verify
-from dpcount.verify import blowup_invariance_check
 from oracles import plane_cusp_count
 
 
@@ -20,17 +18,13 @@ def P(d):
 
 class TestFirstTerm:
     def test_cubic(self, engine):
-        assert first_term(engine, P(3)) == 24
+        assert c_beta(engine, P(3)).first_term == 24
 
     def test_quartic(self, engine):
-        assert first_term(engine, P(4)) == 1395
+        assert c_beta(engine, P(4)).first_term == 1395
 
     def test_conic_is_fractional_alone(self, engine):
-        assert first_term(engine, P(2)) == Fraction(3, 2)
-
-    def test_degree_zero_rejected(self, engine):
-        with pytest.raises(ValueError):
-            first_term(engine, DivisorClass(1, (3,)))
+        assert c_beta(engine, P(2)).first_term == Fraction(3, 2)
 
 
 class TestSplittingTerm:
@@ -141,7 +135,9 @@ class TestPermutations:
                     Fraction(0),
                 )
                 assert result.boundary_term == ordered, perm
-                assert result.first_term == first_term(engine, perm), perm
+                deg = perm.anticanonical_degree()
+                first = (3 + perm.k - Fraction(9 - perm.k, deg)) * engine.n_beta(perm)
+                assert result.first_term == first, perm
                 results.add((result.value, result.first_term, result.boundary_term, result.valid))
             assert len(results) == 1, beta
         assert list(engine.cusp_boundary) == list(classes)
@@ -188,23 +184,13 @@ class TestSummationConvention:
 
 class TestBlowupInvariance:
     def test_cubic_one_point(self, engine):
-        assert blowup_invariance_check(engine, 3, (1,))
-        assert c_beta(engine, DivisorClass(3, (1,))).value == 24
+        assert c_beta(engine, DivisorClass(3, (1,))).value == c_beta(engine, P(3)).value == 24
 
     def test_quartic_two_points(self, engine):
-        assert blowup_invariance_check(engine, 4, (1, 1))
-        assert c_beta(engine, DivisorClass(4, (1, 1))).value == 2304
+        assert c_beta(engine, DivisorClass(4, (1, 1))).value == c_beta(engine, P(4)).value == 2304
 
     def test_conic_vanishes_on_both_sides(self, engine):
-        assert blowup_invariance_check(engine, 2, (1,))
-        assert c_beta(engine, DivisorClass(2, (1,))).value == 0
-
-    def test_rejects_bad_pattern(self, engine):
-        with pytest.raises(ValueError):
-            blowup_invariance_check(engine, 3, (2,))
-
-    def test_exported_by_the_package(self):
-        assert dpcount.blowup_invariance_check is blowup_invariance_check
+        assert c_beta(engine, DivisorClass(2, (1,))).value == c_beta(engine, P(2)).value == 0
 
 
 class TestSuiteFailurePaths:
