@@ -98,7 +98,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def sweep_classes(k: int, dmax: int, mmax: int | None):
-    """Deterministic sweep order: degree, then multiplicity tuples lexicographically."""
+    """Deterministic sweep order: degree, then multiplicity tuples lexicographically.
+
+    Domain: dmax >= 0 and mmax >= 0 (or None); outside it the first step raises `ValueError`."""
+    for name, value in (("dmax", dmax), ("mmax", mmax)):
+        if value is not None and value < 0:
+            raise ValueError(f"table needs {name} >= 0, got {value}")
     for d in range(1, dmax + 1):
         top = d if mmax is None else min(d, mmax)
         for m in product(range(0, top + 1), repeat=k):

@@ -317,13 +317,13 @@ class GWEngine:
     delta >= 3, where the E_i orbits add nothing, so that solve reads N of
     halves of lower degree only, never of beta - E_i; R2 or R3 at delta 1
     or 2.  No orbit rows are kept: `_orbit_rows` lists them on every call.
-    The memo is an insert-only map, and so are the cusp boundary sums that
-    `cusp.c_beta` keeps, per canonical class, in `cusp_boundary`.
+    The memo, `_half_n` and the cusp boundary sums that `cusp.c_beta` keeps,
+    per canonical class, in `cusp_boundary`, are insert-only maps.
     """
 
     def __init__(self):
         self._memo: dict[tuple, int] = {}  # `blown_down_key` (d, m) -> N
-        self._half_n: dict[tuple, int] = {}  # `_half_value`
+        self._half_n: dict[tuple, int] = {}  # canonical half (d, m) -> N, `_half_value`
         self._loaded: dict[str, bytes] = {}  # path -> the bytes `load_cache` merged from it
         self.cusp_boundary: dict[DivisorClass, Fraction] = {}
 
@@ -399,18 +399,18 @@ class GWEngine:
     def _orbit_data(self, beta: DivisorClass, orbits=None) -> list[tuple]:
         """Rows (half1, size*N1*N2*(beta1.beta2), delta(beta1)), and (half2, ...) too with `swap`,
         over the orbit rows `orbits` of beta, by default every orbit of `_orbit_rows(beta)`;
-        zeros dropped, N per half from `_half_n`, and N2 not looked up when N1 = 0.
+        zeros dropped, N per half from `_half_value`, and N2 not looked up when N1 = 0.
 
         The cusp boundary sum of `cusp.c_beta` and the delta 1 and 2 solves of
         N read every orbit, E_i orbits included; the delta >= 3 solve reads the
         orbits that the walk lists for d1 >= 1.  `_orbit_relation` takes the
         rows of either solve."""
-        get, lookup = self._half_n.get, self._half_value
+        lookup = self._half_value
         top = delta(beta) - 1  # delta(beta1) + delta(beta2)
         data = []
         for h1, h2, size, swap in self._orbit_rows(beta) if orbits is None else orbits:
-            n1 = get(h1) or lookup(h1)
-            n2 = n1 and (get(h2) or lookup(h2))
+            n1 = lookup(h1)
+            n2 = n1 and lookup(h2)
             if n2:
                 (d1, m1), (d2, m2) = h1, h2
                 w = size * n1 * n2 * (d1 * d2 - sum(map(mul, m1, m2)))
@@ -421,17 +421,14 @@ class GWEngine:
         return data
 
     def _half_value(self, half: tuple) -> int:
-        """N of a half (d, m), read once per sorted m from the memo, or on a miss from `n_beta`,
-        and filed in `_half_n` (0 is looked up again).
+        """N of a half (d, m), asked of `n_beta` and filed in `_half_n` once per canonical half (d, sorted m).
 
         Only the solve path reads `_half_n`; `consistency_check` reads N through
         `n_beta`, so it sees a memo entry that changed after a solve."""
         known, canonical = self._half_n, (half[0], tuple(sorted(half[1], reverse=True)))
         if canonical not in known:
-            value = self._memo.get(blown_down_key(*canonical))
-            known[canonical] = self.n_beta(DivisorClass(*canonical)) if value is None else value
-        value = known[half] = known[canonical]
-        return value
+            known[canonical] = self.n_beta(DivisorClass(*canonical))
+        return known[canonical]
 
     def _splitting_data(self, beta: DivisorClass) -> list[tuple]:
         """Evaluator rows ((d1, *m1), N1*N2*(beta1.beta2), delta(beta1)) over `splittings(beta)`,
@@ -472,7 +469,9 @@ class GWEngine:
 
         A hit builds no class.  Every key that is neither a seed nor `quick_vanishing` has
         delta >= 1 and every m_i >= 2, and is solved by `_orbit_relation`: at delta >= 3
-        over the orbits the walk lists for d1 >= 1, at delta 1 or 2 over every orbit."""
+        over the orbits the walk lists for d1 >= 1, at delta 1 or 2 over every orbit.  Depth domain:
+        a key nests three frames (`_orbit_relation`), so at the default recursion limit a fresh
+        process solves the plane class 330; and raises `RecursionError`, uncaught by the CLI, on 331;."""
         memo_key = blown_down_key(beta.d, beta.m)
         cached = self._memo.get(memo_key)
         if cached is not None:

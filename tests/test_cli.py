@@ -109,6 +109,25 @@ class TestTable:
         assert f"k={k} is outside the allowed range 0..8" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    @pytest.mark.parametrize(
+        "option, bounds", [("dmax", ["-1"]), ("mmax", ["3", "--mmax", "-1"])], ids=["dmax", "mmax"]
+    )
+    def test_negative_bound_names_the_rule(self, capsys, k, option, bounds):
+        # at k = 0 a negative mmax once swept the plane classes, at k = 1 nothing
+        assert main(["table", "--k", k, "--dmax", *bounds]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: table needs {option} >= 0, got -1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("k, literals", [("0", ["1;", "2;"]), ("1", ["1;0", "2;0"])])
+    def test_zero_bounds_stay_valid(self, capsys, k, literals):
+        assert main(["table", "--k", k, "--dmax", "0"]) == 0
+        assert main(["table", "--k", k, "--dmax", "2", "--mmax", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [f"{k}\t{cls}\t1\t0\tfalse" for cls in literals]
+        assert captured.err == ""
+
     def test_jobs_do_not_change_output(self, capsys):
         assert main(["--jobs", "1", "table", "--k", "2", "--dmax", "3"]) == 0
         serial = capsys.readouterr().out

@@ -1,13 +1,13 @@
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
 from dpcount.cusp import c_beta, splitting_term
 from dpcount.gw import GWEngine, InconsistentRelationError
-from dpcount.lattice import DivisorClass, delta, parse_class_literal
+from dpcount.lattice import DivisorClass, arithmetic_genus, delta, parse_class_literal
 from dpcount import verify
 from oracles import plane_cusp_count
 
@@ -250,3 +250,43 @@ class TestIntegralitySweep:
                     result = c_beta(engine, beta)  # raises on any non-integer
                     total = result.first_term + result.boundary_term
                     assert total.denominator == 1
+
+
+class TestGenusClosedForms:
+    """C at arithmetic genus 0 and 1, against values that do not come from the paper's formula.
+
+    Genus 0: the geometric genus of an irreducible curve is its arithmetic
+    genus p_a less the delta-invariant of each singular point, each at least
+    1, and it is >= 0.  So an irreducible curve with p_a = 0 is smooth, and a
+    class with p_a(beta) = 0 has no cuspidal curve: C = 0.
+
+    Genus 1: a rational curve with p_a = 1 has one singular point, a node or
+    a cusp.  As beta^2 = -K.beta, |beta| has dimension -K.beta = delta + 1,
+    so the curves through delta - 1 general points form a net.  This leg
+    rests on the count of cuspidal members of a general net,
+    12 beta^2 + 12 beta.K + 2 K^2 + 2 c_2, which is 2 (K^2 + c_2) = 24 by
+    Noether's formula.  The formula is attributed to Kleiman-Piene,
+    "Enumerating singular curves on surfaces" (1999); ROADMAP.md quotes it,
+    and it has not yet been checked against their paper.  The test asserts
+    C = 24 where N = 12, and C = 0 where N = 0; no other N occurs.
+    """
+
+    def test_genus_0_and_1_classes(self, engine):
+        classes = [
+            DivisorClass(d, m)
+            for k in range(0, 9)
+            for d in range(1, 9)
+            for m in combinations_with_replacement(range(d, -1, -1), k)
+        ]
+        classes = [
+            b for b in classes if delta(b) >= 1 and not engine.quick_vanishing(b) and arithmetic_genus(b) <= 1
+        ]
+        assert len(classes) == 969
+        by_genus = {0: [], 1: []}
+        for beta in classes:
+            result = c_beta(engine, beta)
+            by_genus[arithmetic_genus(beta)].append((str(beta), result.n, result.value))
+        assert len(by_genus[0]) == 619
+        assert [row for row in by_genus[0] if row[2] != 0] == []
+        assert len(by_genus[1]) == 350
+        assert [row for row in by_genus[1] if row[1:] not in ((0, 0), (12, 24))] == []
