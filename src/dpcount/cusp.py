@@ -8,21 +8,22 @@ integer and is asserted to be one before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .gw import GWEngine, InconsistentRelationError, comb0
 from .lattice import DivisorClass, canonical_form, delta, intersect
 
 
-@dataclass
-class CuspResult:
+class CuspResult(NamedTuple):
+    """The count C(beta) of `c_beta`, with its two terms, N(beta) and its hypothesis check."""
+
     value: int
     valid: bool
     first_term: Fraction
     boundary_term: Fraction
     n: int  # N_beta, which the first term is proportional to
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def _boundary_factor(db: int, d1: int) -> Fraction:

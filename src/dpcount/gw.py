@@ -16,7 +16,6 @@ import os
 import tempfile
 from collections.abc import Mapping
 from contextlib import suppress
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -73,11 +72,12 @@ class WDVVRelation(NamedTuple):
         return q
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
+    """The engine's N(beta) and the relations `GWEngine.consistency_check` evaluated on it."""
+
     beta: DivisorClass
     value: int
-    relations: list[WDVVRelation] = field(default_factory=list)
+    relations: list[WDVVRelation]
 
     @property
     def consistent(self) -> bool:
@@ -471,7 +471,8 @@ class GWEngine:
         delta >= 1 and every m_i >= 2, and is solved by `_orbit_relation`: at delta >= 3
         over the orbits the walk lists for d1 >= 1, at delta 1 or 2 over every orbit.  Depth domain:
         a key nests three frames (`_orbit_relation`), so at the default recursion limit a fresh
-        process solves the plane class 330; and raises `RecursionError`, uncaught by the CLI, on 331;."""
+        process solves the plane class 330; and raises `RecursionError` on 331;, which the CLI
+        reports as one `error:` line with exit code 1."""
         memo_key = blown_down_key(beta.d, beta.m)
         cached = self._memo.get(memo_key)
         if cached is not None:
@@ -542,7 +543,7 @@ class GWEngine:
         basis = (surface.line(), *(surface.exceptional(i) for i in range(beta.k)))
         value = self.n_beta(beta)
         evaluator = RelationEvaluator(beta, basis, self._splitting_data(beta))
-        report = ConsistencyReport(beta=beta, value=value)
+        report = ConsistencyReport(beta=beta, value=value, relations=[])
         for name, (arity, low) in RELATIONS.items():
             if evaluator.delta < low:
                 continue

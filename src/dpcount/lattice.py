@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 MAX_BLOWUPS = 8
@@ -18,15 +17,42 @@ MAX_BLOWUPS = 8
 _LITERAL_RE = re.compile(r"^(-?\d+);((?:-?\d+)(?:,-?\d+)*)?$", re.ASCII)  # \d is 0-9 only
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """The plane blown up at k generic points, 0 <= k <= 8."""
+_setattr = object.__setattr__  # writes a slot past the classes' read-only __setattr__
 
-    k: int
 
-    def __post_init__(self):
-        if not 0 <= self.k <= MAX_BLOWUPS:
-            raise _blowup_count_error(self.k)
+class _Frozen:
+    """Read-only attributes, as on a frozen value: assigning or deleting one raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SurfaceModel(_Frozen):
+    """The plane blown up at k generic points, 0 <= k <= 8; immutable, and compared by k."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        if not 0 <= k <= MAX_BLOWUPS:
+            raise _blowup_count_error(k)
+        _setattr(self, "k", k)
+
+    def __eq__(self, other):
+        return self.k == other.k if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.k,))
+
+    def __repr__(self):
+        return f"SurfaceModel(k={self.k!r})"
+
+    def __reduce__(self):
+        return SurfaceModel, (self.k,)
 
     def line(self) -> "DivisorClass":
         return DivisorClass(1, (0,) * self.k)
@@ -43,17 +69,37 @@ class SurfaceModel:
         return DivisorClass(3, (1,) * self.k)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """The class d*L - sum(m_i * E_i); E_i itself is (0; ..., m_i = -1, ...)."""
+class DivisorClass(_Frozen):
+    """The class d*L - sum(m_i * E_i); E_i itself is (0; ..., m_i = -1, ...).
 
-    d: int
-    m: tuple[int, ...]
+    Immutable, and compared and hashed by (d, m); m is stored as a tuple.
+    Every instance passes through `__post_init__`, the k <= 8 check, once:
+    the benchmark's tracer wraps that method to count the classes built."""
+
+    __slots__ = ("d", "m")
+
+    def __init__(self, d: int, m: tuple[int, ...]):
+        _setattr(self, "d", d)
+        _setattr(self, "m", tuple(m))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(self.m))
         if len(self.m) > MAX_BLOWUPS:
             raise _blowup_count_error(len(self.m))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d == other.d and self.m == other.m
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d, self.m))
+
+    def __repr__(self):
+        return f"DivisorClass(d={self.d!r}, m={self.m!r})"
+
+    def __reduce__(self):
+        return DivisorClass, (self.d, self.m)
 
     @property
     def k(self) -> int:

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import dpcount
 from dpcount import cli, gw, verify
 from dpcount.cli import build_parser, main, sweep_classes
 from dpcount.gw import GWEngine
@@ -423,3 +426,31 @@ class TestParser:
         shared = run("shared")
         monkeypatch.setattr(cli, "_parser", build_parser)
         assert run("new") == shared
+
+
+class TestFreshProcess:
+    """A new interpreter, pointed at the dpcount this process imported, with no caller environment."""
+
+    PACKAGE_ROOT = os.path.dirname(os.path.dirname(dpcount.__file__))
+    ENV = {"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def test_import_loads_no_dataclasses(self):
+        # -S: no site packages, so no host's .pth files decide what is already imported
+        code = (
+            f"import sys; sys.path.insert(0, {self.PACKAGE_ROOT!r}); import dpcount, dpcount.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=self.ENV)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+    def test_depth_failure_is_one_error_line(self, tmp_path):
+        cache = tmp_path / "cache.tsv"
+        env = {**self.ENV, "PYTHONPATH": self.PACKAGE_ROOT, "DPCOUNT_CACHE": str(cache)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpcount", "nbeta", "331;"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: recursion limit reached") and "330;" in line
+        assert not cache.exists()

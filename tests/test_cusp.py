@@ -1,12 +1,11 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from dpcount.cusp import c_beta, splitting_term
-from dpcount.gw import GWEngine, InconsistentRelationError
+from dpcount.cusp import CuspResult, c_beta, splitting_term
+from dpcount.gw import ConsistencyReport, GWEngine, InconsistentRelationError, WDVVRelation
 from dpcount.lattice import DivisorClass, arithmetic_genus, delta, parse_class_literal
 from dpcount import verify
 from oracles import plane_cusp_count
@@ -14,6 +13,25 @@ from oracles import plane_cusp_count
 
 def P(d):
     return DivisorClass(d, ())
+
+
+class TestResultRecords:
+    def test_cusp_result_fields_by_name(self):
+        result = CuspResult(
+            value=2304, valid=True, first_term=Fraction(5), boundary_term=Fraction(7, 2), n=620, warnings=[]
+        )
+        assert (result.value, result.valid, result.n, result.warnings) == (2304, True, 620, [])
+        assert (result.first_term, result.boundary_term) == (Fraction(5), Fraction(7, 2))
+
+    def test_consistency_report_fields_by_name(self):
+        relation = WDVVRelation("R1", (), 2, 6)
+        report = ConsistencyReport(beta=P(4), value=3, relations=[relation])
+        assert (report.beta, report.value, report.relations) == (P(4), 3, [relation])
+        assert report.consistent and report.disagreements() == []
+
+    def test_reports_share_no_relation_list(self, engine):
+        first, second = engine.consistency_check(P(4)), engine.consistency_check(P(4))
+        assert first.relations == second.relations and first.relations is not second.relations
 
 
 class TestFirstTerm:
@@ -223,7 +241,7 @@ class TestSuiteFailurePaths:
             result = c_beta(engine, beta)
             if list(beta.m) == sorted(beta.m, reverse=True):
                 return result
-            return dataclasses.replace(result, value=result.value + 1)
+            return result._replace(value=result.value + 1)
 
         monkeypatch.setattr(verify, "c_beta", unsorted_off_by_one)
         ok, lines = verify.symmetry_suite(engine)

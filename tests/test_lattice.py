@@ -1,5 +1,6 @@
 import hashlib
 import operator
+import pickle
 
 import pytest
 from hypothesis import given
@@ -37,8 +38,9 @@ def classes(k):
 class TestSurfaceModel:
     @pytest.mark.parametrize("k", [-1, 9, 100])
     def test_rejects_bad_k(self, k):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             SurfaceModel(k)
+        assert str(excinfo.value) == f"blow-up count k={k} is outside the allowed range 0..8"
 
     @pytest.mark.parametrize("k", range(9))
     def test_chern_numbers(self, k):
@@ -52,6 +54,47 @@ class TestSurfaceModel:
         surface = SurfaceModel(4)
         for i in range(4):
             assert intersect(surface.anticanonical(), surface.exceptional(i)) == 1
+
+
+class TestValueSemantics:
+    """Equality, hash, repr, immutability and pickling of the two lattice value classes."""
+
+    def test_reprs(self):
+        # WDVVRelation error messages print the class repr
+        assert repr(DivisorClass(1, (0, 1))) == "DivisorClass(d=1, m=(0, 1))"
+        assert repr(SurfaceModel(3)) == "SurfaceModel(k=3)"
+
+    def test_equal_values_hash_equal(self):
+        a, b = DivisorClass(4, (2, 1)), DivisorClass(2 + 2, tuple([2, 1]))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b, DivisorClass(4, (1, 2))}) == 2
+        assert SurfaceModel(3) == SurfaceModel(3) and hash(SurfaceModel(3)) == hash(SurfaceModel(3))
+        assert SurfaceModel(3) != SurfaceModel(4)
+
+    def test_no_equality_with_tuples(self):
+        assert DivisorClass(1, ()) != (1, ())
+        assert SurfaceModel(3) != (3,)
+
+    def test_list_m_is_stored_as_a_tuple(self):
+        beta = DivisorClass(3, [1, 1, 0])
+        assert beta.m == (1, 1, 0) and type(beta.m) is tuple
+        assert beta == DivisorClass(3, (1, 1, 0))
+
+    @pytest.mark.parametrize(
+        "value, name", [(DivisorClass(1, (0,)), "d"), (DivisorClass(1, (0,)), "m"), (SurfaceModel(2), "k")]
+    )
+    def test_fields_are_read_only(self, value, name):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == before
+
+    @pytest.mark.parametrize("value", [DivisorClass(5, (2, 1, -1)), DivisorClass(3, ()), SurfaceModel(8)])
+    def test_pickle_round_trip(self, value):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
 
 
 class TestDomainErrors:
