@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from operator import mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
@@ -27,7 +27,6 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     _orbit,
-    arithmetic_genus,
     blown_down_key,
     delta,
     intersect,
@@ -50,6 +49,12 @@ class InconsistentRelationError(RuntimeError):
 def comb0(n: int, r: int) -> int:
     """Binomial coefficient that vanishes outside 0 <= r <= n."""
     return math.comb(n, r) if 0 <= r <= n else 0
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int, shift: int) -> dict[int, int]:
+    """{d1: C(n, d1 - shift)} where it is nonzero: comb0(n, d1 - shift) is its get(d1, 0)."""
+    return dict(zip(range(shift, shift + n + 1), map(math.comb, repeat(n), range(n + 1))))
 
 
 class WDVVRelation(NamedTuple):
@@ -108,10 +113,10 @@ def divisor_pool(k: int) -> tuple[DivisorClass, ...]:
     return tuple(pool)
 
 
-@lru_cache(maxsize=None)
-def _line_and_anticanonical(k: int) -> tuple[DivisorClass, DivisorClass]:
-    """L and -K on the k-point blow-up, the insertions of every solve (`GWEngine._orbit_relation`)."""
-    return SurfaceModel(k).line(), SurfaceModel(k).anticanonical()
+# L and -K on the k-point blow-up, by k: the insertions of every solve (`GWEngine._orbit_relation`),
+# and their x.y tables, which `RelationEvaluator` reads instead of intersecting them once per key
+_LINE_AND_ANTICANONICAL = tuple((DivisorClass(1, (0,) * k), DivisorClass(3, (1,) * k)) for k in range(9))
+_PAIRINGS = {pair: [[intersect(x, y) for y in pair] for x in pair] for pair in _LINE_AND_ANTICANONICAL}
 
 
 @lru_cache(maxsize=None)
@@ -131,6 +136,30 @@ def seed_classes(k: int) -> Mapping[DivisorClass, int]:
         # the pencil of cubics through 8 general points has 12 rational members
         seeds[surface.anticanonical()] = 12
     return MappingProxyType(seeds)
+
+
+@lru_cache(maxsize=None)
+def _seed_keys(k: int) -> dict[tuple, int]:
+    """`seed_classes(k)` keyed by the ints (d, m)."""
+    return {(beta.d, beta.m): value for beta, value in seed_classes(k).items()}
+
+
+def _base_value(d: int, m: tuple[int, ...]) -> int | None:
+    """N of the class (d, m) where no relation is needed: a seed's value, 0 where N certainly
+    vanishes for geometric reasons, None otherwise.
+
+    The one seed and vanishing rule, read by `GWEngine._value`, `_orbit_rows`
+    and `GWEngine.quick_vanishing`; `GWEngine.seed_value` reads its seed
+    table, `_seed_keys`.  N vanishes at d < 0, at d = 0 but for the E_i
+    (seeds), and at d >= 1 when some m_i < 0 or m_i > d, when
+    delta = 3d - sum(m) - 1 < 0, when delta = 0 and the class is no seed, or
+    when the genus is negative, that is, sum m_i(m_i - 1) > (d - 1)(d - 2).
+    """
+    seed = _seed_keys(len(m)).get((d, m))
+    if seed is not None:
+        return seed
+    vanishes = d <= 0 or min(m, default=0) < 0 or max(m, default=0) > d or 3 * d - sum(m) <= 1
+    return 0 if vanishes or sum(map(mul, m, m)) - sum(m) > (d - 1) * (d - 2) else None
 
 
 def _viable_multiplicities(m: tuple[int, ...], d: int) -> list[tuple]:
@@ -224,56 +253,58 @@ class RelationEvaluator:
     size; `project` builds them from halves.  Both sides are multilinear, so
     rows of equal projection and delta(beta1) are merged into one first.
 
-    Each rhs is one dot product of two per-row factor lists, and each list is
-    built once, on first use.  With Q_bc = x1_c * x2_b - x1_b * x2_c, the
-    weights h, l of R1 and w of R2 or R3 (`weights`):
-    R1(a, b) = (h x1_a - l x2_a) . x2_b, R2(a, b, c) = (w x1_a) . Q_bc and
-    R3(a, b, c, d) = (w x1_a x2_d) . Q_bc.  For R2 and R3 both sides change
-    sign when b and c are swapped, whatever the data.
+    Only x.y (kept in `_PAIRINGS` for the solves' L and -K), x.beta and the
+    merged rows are built up front, nothing per row and divisor.  Each rhs
+    is one dot product of two per-row lists, and each list is built straight
+    from the merged rows when a tuple first reads it and kept for every later
+    tuple: the R1 solve on (L, -K) builds one factor list and one x2 column,
+    and `consistency_check` reuses each list over its tuples.  The binomials
+    C(D - low, d1 - s), D = delta(beta), d1 = delta(beta1) and low the
+    relation's least delta, are looked up in `_binomials`, built once per
+    (D - low, s).
+    With Q_bc = x1_c x2_b - x1_b x2_c = (b.beta) x1_c - (c.beta) x1_b:
+    R1(a, b) = w (C(D-3, d1-1) x1_a - C(D-3, d1-2) x2_a) . x2_b,
+    R2(a, b, c) = w C(D-2, d1) x1_a . Q_bc and
+    R3(a, b, c, d) = w C(D-1, d1) x1_a x2_d . Q_bc.  For R2 and R3 both sides
+    change sign when b and c are swapped, whatever the data.
     """
 
     def __init__(self, beta: DivisorClass, divisors, rows=()):
         self.divisors = divisors = tuple(divisors)
         self.delta = delta(beta)
-        self.pair = [[intersect(x, y) for y in divisors] for x in divisors]
+        self.pair = _PAIRINGS.get(divisors) or [[intersect(x, y) for y in divisors] for x in divisors]
         self.on_beta = [intersect(x, beta) for x in divisors]
         self.rows = merged = {}  # (projection, delta1) -> w
         for p, w, d1 in rows:
             merged[p, d1] = merged.get((p, d1), 0) + w
-        columns = list(zip(*(p for p, _ in merged))) or [()] * len(divisors)
-        self.halves = [(x1, [xb - a for a in x1]) for x1, xb in zip(columns, self.on_beta)]
-        self._weights: dict[str, tuple[list[int], ...]] = {}
         self._factors: dict[tuple, list[int]] = {}
 
-    def weights(self, name: str) -> tuple[list[int], ...]:
-        """Per-row rhs coefficients of `name`: w C(D-3, d1-1) and w C(D-3, d1-2) for R1,
-        w C(D-2, d1) for R2, w C(D-1, d1) for R3, with D = delta(beta), d1 = delta(beta1)."""
-        found = self._weights.get(name)
-        if found is None:
-            n, deltas, found = self.delta - RELATIONS[name][1], {d1 for _, d1 in self.rows}, []
-            for shift in (1, 2) if name == "R1" else (0,):
-                binom = {d1: comb0(n, d1 - shift) for d1 in deltas}
-                found.append([w * binom[d1] for (_, d1), w in self.rows.items()])
-            found = self._weights[name] = tuple(found)
-        return found
-
     def _factor(self, key: tuple) -> list[int]:
-        """The per-row factor list `key`, built on first use: (name, a) is the factor of insertion a
-        (h x1_a - l x2_a for R1, w x1_a for R2 and R3), ("R3", a, d) is w x1_a x2_d, ("Q", b, c) is Q_bc."""
+        """The per-row list `key`, built from the merged rows on first use and kept: ("x1", a) is x1_a,
+        ("x2", a) is x2_a; (name, a) is the factor of insertion a, w (C(D-3, d1-1) x1_a -
+        C(D-3, d1-2) x2_a) for R1, w C(D-2, d1) x1_a for R2 and w C(D-1, d1) x1_a for R3;
+        ("R3", a, d) is w C(D-1, d1) x1_a x2_d; ("Q", b, c) is Q_bc = (b.beta) x1_c - (c.beta) x1_b."""
         found = self._factors.get(key)
         if found is None:
-            name, i, *j = key
-            x1, x2 = self.halves[i]
-            if name == "Q":
-                y1, y2 = self.halves[j[0]]
-                found = list(map(sub, map(mul, y1, x2), map(mul, x1, y2)))
-            elif j:
-                found = list(map(mul, self._factor((name, i)), self.halves[j[0]][1]))
+            rows, name, a = self.rows, key[0], key[1]
+            if name == "x1":
+                found = [p[a] for p, _ in rows]
+            elif name == "x2":
+                x = self.on_beta[a]
+                found = [x - p[a] for p, _ in rows]
+            elif name == "Q":
+                x1b, x1c = self._factor(("x1", a)), self._factor(("x1", key[2]))
+                xb, xc = repeat(self.on_beta[a]), repeat(self.on_beta[key[2]])
+                found = list(map(sub, map(mul, xb, x1c), map(mul, xc, x1b)))
+            elif len(key) == 3:
+                found = list(map(mul, self._factor((name, a)), self._factor(("x2", key[2]))))
             elif name == "R1":
-                h, l = self.weights(name)
-                found = list(map(sub, map(mul, h, x1), map(mul, l, x2)))
+                x, n = self.on_beta[a], self.delta - 3
+                hi, lo = _binomials(n, 1).get, _binomials(n, 2).get
+                found = [w * (hi(d1, 0) * p[a] - lo(d1, 0) * (x - p[a])) for (p, d1), w in rows.items()]
             else:
-                found = list(map(mul, self.weights(name)[0], x1))
+                c = _binomials(self.delta - RELATIONS[name][1], 0).get
+                found = [w * c(d1, 0) * p[a] for (p, d1), w in rows.items()]
             self._factors[key] = found
         return found
 
@@ -295,12 +326,12 @@ class RelationEvaluator:
     def rhs(self, name: str, ins: tuple[int, ...]) -> int:
         factor = self._factor
         if name == "R1":
-            return sum(map(mul, factor(("R1", ins[0])), self.halves[ins[1]][1]))
+            return sum(map(mul, factor(("R1", ins[0])), factor(("x2", ins[1]))))
         left = factor((name, ins[0])) if name == "R2" else factor((name, ins[0], ins[3]))
         return sum(map(mul, left, factor(("Q", ins[1], ins[2]))))
 
     def relation(self, name: str, ins: tuple[int, ...]) -> WDVVRelation:
-        divisors = tuple(self.divisors[i] for i in ins)
+        divisors = tuple(map(self.divisors.__getitem__, ins))
         return WDVVRelation(name, divisors, self.lhs(name, ins), self.rhs(name, ins))
 
 
@@ -336,22 +367,13 @@ class GWEngine:
 
     def seed_value(self, beta: DivisorClass) -> int | None:
         """Base data from `seed_classes`: (-1)-classes, L, L - E_i, and -K on the k = 8 surface."""
-        return seed_classes(beta.k).get(beta)
+        return _seed_keys(beta.k).get((beta.d, beta.m))
 
     # --------------------------------------------------------------- filters
 
     def quick_vanishing(self, beta: DivisorClass) -> bool:
-        """True when N is certainly zero for geometric reasons."""
-        if beta.d <= 0:
-            # the only seeds of degree 0 are the E_i
-            return beta.d < 0 or self.seed_value(beta) is None
-        return (
-            min(beta.m, default=0) < 0
-            or max(beta.m, default=0) > beta.d
-            or delta(beta) < 0
-            or arithmetic_genus(beta) < 0
-            or (delta(beta) == 0 and self.seed_value(beta) is None)
-        )
+        """True when N is certainly zero for geometric reasons: `_base_value`'s rule, which gives no seed 0."""
+        return _base_value(beta.d, beta.m) == 0
 
     # ------------------------------------------------------------ splittings
 
@@ -377,7 +399,7 @@ class GWEngine:
         rows = []
         for i in (i for i in range(k) if m[i] not in m[:i]):
             m2 = (*m[:i], m[i] + 1, *m[i + 1 :])  # beta - E_i; E_i itself never vanishes
-            if not self.quick_vanishing(DivisorClass(d, m2)):  # true for the zero class
+            if _base_value(d, m2) != 0:  # 0 for the zero class
                 rows.append(((0, (0,) * i + (-1,) + (0,) * (k - i - 1)), (d, m2), m.count(m[i]), True))
         rows += _viable_multiplicities(m, d)
         return tuple(rows)
@@ -421,14 +443,17 @@ class GWEngine:
         return data
 
     def _half_value(self, half: tuple) -> int:
-        """N of a half (d, m), asked of `n_beta` and filed in `_half_n` once per canonical half (d, sorted m).
+        """N of a half (d, m), filed in `_half_n` once per canonical half (d, sorted m).
 
-        Only the solve path reads `_half_n`; `consistency_check` reads N through
-        `n_beta`, so it sees a memo entry that changed after a solve."""
+        On a miss the canonical half goes to its `blown_down_key` and `_value`,
+        the memo read and solve that `n_beta` uses too, all on ints: no class
+        is built here.  Only the solve path reads `_half_n`; `consistency_check`
+        reads N through `n_beta`, so it sees a memo entry that changed after a solve."""
         known, canonical = self._half_n, (half[0], tuple(sorted(half[1], reverse=True)))
-        if canonical not in known:
-            known[canonical] = self.n_beta(DivisorClass(*canonical))
-        return known[canonical]
+        value = known.get(canonical)
+        if value is None:
+            value = known[canonical] = self._value(blown_down_key(*canonical))
+        return value
 
     def _splitting_data(self, beta: DivisorClass) -> list[tuple]:
         """Evaluator rows ((d1, *m1), N1*N2*(beta1.beta2), delta(beta1)) over `splittings(beta)`,
@@ -467,28 +492,34 @@ class GWEngine:
     def n_beta(self, beta: DivisorClass) -> int:
         """N(beta), computed and memoized once per key `blown_down_key(beta.d, beta.m)`.
 
-        A hit builds no class.  Every key that is neither a seed nor `quick_vanishing` has
-        delta >= 1 and every m_i >= 2, and is solved by `_orbit_relation`: at delta >= 3
-        over the orbits the walk lists for d1 >= 1, at delta 1 or 2 over every orbit.  Depth domain:
+        A hit reads the memo and builds no class.  A miss goes to `_value`, which `_half_value`
+        also calls, and builds one `DivisorClass` per key that a relation solves, none for a
+        seed or a vanishing key.  Every key that is neither a seed nor `quick_vanishing` has
+        delta >= 1 and every m_i >= 2, and is solved by `_orbit_relation`: at delta >= 3 over
+        the orbits the walk lists for d1 >= 1, at delta 1 or 2 over every orbit.  Depth domain:
         a key nests three frames (`_orbit_relation`), so at the default recursion limit a fresh
         process solves the plane class 330; and raises `RecursionError` on 331;, which the CLI
         reports as one `error:` line with exit code 1."""
-        memo_key = blown_down_key(beta.d, beta.m)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        key = beta if memo_key == (beta.d, beta.m) else DivisorClass(*memo_key)
-        seed = self.seed_value(key)
-        if seed is not None:
-            value = seed
-        elif self.quick_vanishing(key):
-            value = 0
-        else:
-            orbits = _viable_multiplicities(key.m, key.d) if delta(key) >= 3 else self._orbit_rows(key)
-            value = self._orbit_relation(key, self._orbit_data(key, orbits)).solve()
-        if value < 0:
-            raise InconsistentRelationError(f"negative count {value} for {key}")
-        self._memo[memo_key] = value
+        key = blown_down_key(beta.d, beta.m)
+        value = self._memo.get(key)
+        return self._value(key) if value is None else value
+
+    def _value(self, key: tuple) -> int:
+        """N of a `blown_down_key` (d, m): the memo's, else solved and filed in the memo.
+
+        `_base_value` decides seeds and vanishing keys on the ints; only a key
+        left to a relation gets a `DivisorClass`, the one a miss builds."""
+        value = self._memo.get(key)
+        if value is not None:
+            return value
+        value = _base_value(*key)
+        if value is None:
+            beta = DivisorClass(*key)
+            orbits = _viable_multiplicities(beta.m, beta.d) if delta(beta) >= 3 else self._orbit_rows(beta)
+            value = self._orbit_relation(beta, self._orbit_data(beta, orbits)).solve()
+            if value < 0:
+                raise InconsistentRelationError(f"negative count {value} for {beta}")
+        self._memo[key] = value
         return value
 
     def _orbit_relation(self, beta: DivisorClass, rows) -> WDVVRelation:
@@ -499,15 +530,17 @@ class GWEngine:
         -K are fixed by every permutation of the m_i, so the sum runs over
         stabiliser orbits, and a row enters only through its projection
         (L.beta1, -K.beta1) = (d1, delta(beta1) + 1), under which the evaluator
-        merges the rows.  `n_beta` builds `rows` itself, so a chain of keys
-        nests three frames per key, `n_beta` -> `_orbit_data` -> `_half_value`
-        -> `n_beta`.
+        merges the rows.  `_value` builds `rows` itself, so a chain of keys
+        nests three frames per key, `_value` -> `_orbit_data` -> `_half_value`
+        -> `_value`.
 
         At delta >= 3, `rows` may leave out the E_i orbits: delta(E_i) = 0
         zeroes both weights of its row, and its swap's term carries the factor
         L.E_i = 0, so N(beta - E_i) is never read.  The lhs is L.(-K) = 3 at
-        every k, so the division still checks the rhs; R1(L, L), of lhs 1,
-        would check nothing.  At delta 1 and 2 the rows hold every orbit.
+        every k, so R1(L, -K) is taken without a search, and the division
+        still checks the rhs; R1(L, L), of lhs 1, would check nothing.  The
+        evaluator then builds the R1 factor list of L and the x2 column of -K
+        alone.  At delta 1 and 2 the rows hold every orbit.
         Domain there: reduced keys (`reduced_form`), neither seeds nor
         `quick_vanishing`; d >= m_1 + m_2 + m_3 >= 3 m_4 and k <= 8 give
         3d - 3 <= sum(m) <= 8d/3, so d <= 9.  Of the blown-down keys, every
@@ -518,10 +551,12 @@ class GWEngine:
         is degenerate, and `UnderdeterminedError` is raised.
         """
         rows = (((d1, delta1 + 1), w, delta1) for (d1, _), w, delta1 in rows)
-        evaluator = RelationEvaluator(beta, _line_and_anticanonical(beta.k), rows)
+        evaluator = RelationEvaluator(beta, _LINE_AND_ANTICANONICAL[beta.k], rows)
+        if evaluator.delta >= 3:
+            return evaluator.relation("R1", (0, 1))
         for name, (arity, low) in RELATIONS.items():
-            if evaluator.delta >= low:
-                for ins in [(0, 1)] if name == "R1" else product((0, 1), repeat=arity):
+            if evaluator.delta >= low:  # R2 or R3, as delta < 3
+                for ins in product((0, 1), repeat=arity):
                     if evaluator.lhs(name, ins) != 0:
                         return evaluator.relation(name, ins)
         raise UnderdeterminedError(
@@ -544,6 +579,7 @@ class GWEngine:
         value = self.n_beta(beta)
         evaluator = RelationEvaluator(beta, basis, self._splitting_data(beta))
         report = ConsistencyReport(beta=beta, value=value, relations=[])
+        pick = evaluator.divisors.__getitem__
         for name, (arity, low) in RELATIONS.items():
             if evaluator.delta < low:
                 continue
@@ -559,8 +595,7 @@ class GWEngine:
                     lhs, rhs = sides[(ins[0], ins[2], ins[1], *ins[3:])]
                     lhs, rhs = -lhs, -rhs
                 if lhs or rhs:  # tuples that read 0 = 0 get no WDVVRelation
-                    divisors = tuple(evaluator.divisors[i] for i in ins)
-                    report.relations.append(WDVVRelation(name, divisors, lhs, rhs))
+                    report.relations.append(WDVVRelation(name, tuple(map(pick, ins)), lhs, rhs))
         return report
 
     # --------------------------------------------------------------- caching

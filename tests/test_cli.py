@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -330,18 +331,21 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "blowup"]) == 0
 
     def test_consistency_suite_samples_up_to_k_8(self, capsys, monkeypatch):
-        drawn = []
+        # the CLI asks for the suite's default draw: 200 classes of seed 1 with k <= 8 and
+        # delta <= 10.  test_criterion_6_consistency_fuzz_large_k checks those 200 classes
+        # and their k coverage, so here the suite checks only the first three of them
+        calls = []
         sample = verify.random_classes
 
-        def recording(*args, **kwargs):
-            drawn.append(sample(*args, **kwargs))
-            return drawn[-1]
+        def first_three(rng, count, **kwargs):
+            seeded = rng.getstate() == random.Random(1).getstate()
+            calls.append((seeded, count, kwargs["k_max"], kwargs["delta_max"]))
+            return sample(rng, count, **kwargs)[:3]
 
-        monkeypatch.setattr(verify, "random_classes", recording)
+        monkeypatch.setattr(verify, "random_classes", first_three)
         assert main(["verify", "--suite", "consistency"]) == 0
         assert capsys.readouterr().out == "consistency: 200 classes, all relations agree\n"
-        (classes,) = drawn
-        assert max(beta.k for beta in classes) == 8
+        assert calls == [(True, 200, 8, 10)]
 
     def test_cache_suite_names_a_wrong_row(self, capsys, tmp_path):
         cache = tmp_path / "cache.tsv"

@@ -198,8 +198,9 @@ class CanonicalKeyEngine(GWEngine):
     """Reference for the Weyl-orbit memo key: N memoized per canonical class alone.
 
     Every class of a Weyl orbit is solved on its own, through its own
-    splitting orbits; `_half_value` reads no memo and asks this `n_beta` for
-    each canonical half, so all recursion stays in this engine.  Its keys are
+    splitting orbits; `_half_value` asks this `n_beta` for each half, where
+    the engine's own goes to its int-keyed solve, so all recursion stays in
+    this engine.  Its keys are
     not reduced, so low-delta classes go to the pool reference solver.  It
     solves delta >= 3 by R1(-K, -K) over every orbit, E_i ones included, so it
     also checks the engine's R1(L, -K) solve.
@@ -222,6 +223,9 @@ class CanonicalKeyEngine(GWEngine):
             value = pool_solve_low_delta(self, key)
         self._memo[key] = value
         return value
+
+    def _half_value(self, half):
+        return self.n_beta(DivisorClass(*half))
 
 
 def lhs_zero_poisoned_engine():
@@ -308,6 +312,31 @@ class TestQuickVanishing:
         classes += [DivisorClass(b.d, b.m[::-1]) for b in large_classes()]
         for beta in classes:
             assert engine.quick_vanishing(beta) == engine.quick_vanishing(canonical_form(beta)), beta
+
+    def test_the_solve_decides_as_seed_value_and_quick_vanishing(self, engine):
+        # n_beta decides on a class's key, without a relation, exactly when seed_value or
+        # quick_vanishing of the key's class does; a fresh engine then files that key alone,
+        # while a solve files the halves it reads too (every solved key here reads one)
+        by_key = {}
+        for k in range(5):
+            for d in range(-1, 9):
+                for m in product(range(-2, d + 2), repeat=k):
+                    beta = DivisorClass(d, m)
+                    by_key.setdefault(blown_down_form(beta), []).append(beta)
+        assert (len(by_key), sum(map(len, by_key.values()))) == (5117, 67498)
+        solved = 0
+        for key, classes in by_key.items():
+            fresh = GWEngine()
+            value = fresh.n_beta(key)
+            seed, vanishing = engine.seed_value(key), engine.quick_vanishing(key)
+            assert (fresh.memo_size == 1) == (seed is not None or vanishing), key
+            if seed is not None or vanishing:
+                assert value == (seed or 0), key
+            solved += fresh.memo_size > 1
+            for beta in classes:  # the verdict on a class itself agrees with its key's value
+                assert engine.seed_value(beta) in (None, value), beta
+                assert not (engine.quick_vanishing(beta) and value), beta
+        assert solved > 0
 
 
 class TestSplittings:
@@ -482,11 +511,12 @@ class TestR1Insertions:
 
     def test_a_cold_count_lists_no_orbit_rows_and_no_e_i_half(self, monkeypatch, orbit_row_calls):
         # the solve merges the walk's orbits as they come: no `_orbit_rows` call, and
-        # no beta - E_i row, so no quick_vanishing test of one, for any key it solves
+        # no beta - E_i row, so no seed or vanishing test of one, for any key it solves;
+        # the solve and `_orbit_rows` test a class by the int rule `gw._base_value`
         tested = []
-        quick_vanishing = GWEngine.quick_vanishing
+        base_value = gw._base_value
         monkeypatch.setattr(
-            GWEngine, "quick_vanishing", lambda self, b: tested.append(b) or quick_vanishing(self, b)
+            gw, "_base_value", lambda d, m: tested.append(DivisorClass(d, m)) or base_value(d, m)
         )
         engine = GWEngine()
         assert engine.n_beta(DivisorClass(8, (2,) * 6)) == 8613864688
