@@ -4,15 +4,26 @@ For a class beta with all m_i >= 0 the cuspidal count is a first term
 proportional to N_beta plus a sum over ordered splittings beta1 + beta2 =
 beta.  Both pieces can be fractional on their own; the total is always an
 integer and is asserted to be one before it is returned.
+
+`fractions` (and the `decimal` it imports) loads on the first cuspidal
+count, `c_beta` or `splitting_term`, not with the package: a process that
+only asks for N never pays for it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .gw import GWEngine, InconsistentRelationError, comb0
 from .lattice import DivisorClass, canonical_form, delta, intersect
+
+Fraction = None  # fractions.Fraction once `_import_fraction` has run
+
+
+def _import_fraction() -> None:
+    """Bind `Fraction` on the first cuspidal count; every later count reads the module global."""
+    global Fraction
+    from fractions import Fraction
 
 
 class CuspResult(NamedTuple):
@@ -42,6 +53,8 @@ def splitting_term(
 
     `c_beta` sums the same terms over the splitting orbit rows; this is
     the term of one pair, for reference sums over `GWEngine.splittings`."""
+    if Fraction is None:
+        _import_fraction()
     if beta1 + beta2 != beta:
         raise ValueError(f"{beta1} + {beta2} is not a splitting of {beta}")
     if beta1.is_zero() or beta2.is_zero():
@@ -64,6 +77,8 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     if db < 1:
         raise ValueError(f"class {beta} has delta = {db} < 1")
     n = engine.n_beta(beta)
+    if Fraction is None:
+        _import_fraction()
     ft = (Fraction(3 + beta.k) - Fraction(9 - beta.k, db + 1)) * n
     # the boundary sum is the same for every permutation of beta, so it is
     # kept per canonical class.  Its rows (half, w, delta1) are those of every

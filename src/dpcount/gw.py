@@ -16,12 +16,11 @@ import os
 import tempfile
 from collections.abc import Mapping
 from contextlib import suppress
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product, repeat
 from operator import mul, sub
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .lattice import (
     DivisorClass,
@@ -33,6 +32,9 @@ from .lattice import (
     minus_one_classes,
     parse_class_key,
 )
+
+if TYPE_CHECKING:  # the annotation alone: `cusp` imports fractions on its first count
+    from fractions import Fraction
 
 CACHE_ENV_VAR = "DPCOUNT_CACHE"
 CACHE_VERSION = "v1"
@@ -173,63 +175,80 @@ def _viable_multiplicities(m: tuple[int, ...], d: int) -> list[tuple]:
     lexicographic order of m1.  With S1 = sum m1_i, Q1 = sum m1_i(m1_i - 1) and Q2
     the same sum over m - m1, the conditions read
     S - 3*d2 + 1 <= S1 <= 3*d1 - 1, Q1 <= (d1-1)(d1-2) and Q2 <= (d2-1)(d2-2).
-    A depth-first walk over the coordinates cuts a branch as soon as the
-    extremes of these sums over the remaining coordinates rule it out.
+
+    A plane class (k = 0) has one row per d1, listed directly; a class with
+    some m_i < 0 or m_i > d has an empty box at every d1, and no rows.  Else
+    each call builds sum(m) and, per position, the last earlier position
+    with the same m_i and the rank of m_i there once; each d1 builds one
+    tuple of bounds per position in one pass from the last position back:
+    its box, and the bounds on S1 and Q1, Q2 so far that leave room for the
+    extremes of the positions after it.  `_walk` then goes depth first over
+    the positions and appends the rows at the last one.  It is a module
+    function, not a closure that refers to itself, so a call leaves no
+    reference cycle behind.
     """
     k = len(m)
-    # the last earlier position holding the same m_i, whose m1 caps this one
+    if not k:
+        return [((d1, ()), (d - d1, ()), 1, d1 < d - d1) for d1 in range(1, d // 2 + 1)]
+    rows: list[tuple] = []
+    if min(m) < 0 or max(m) > d:
+        return rows
     last: dict[int, int] = {}
-    previous = []
+    positions = []  # (i, m_i, the last earlier position holding m_i, positions up to i holding m_i)
     for i, mi in enumerate(m):
-        previous.append(last.get(mi))
+        positions.append((i, mi, last.get(mi), m[: i + 1].count(mi)))
         last[mi] = i
-    rank = [m[: i + 1].count(mi) for i, mi in enumerate(m)]  # positions up to i holding m_i
-    found: list[tuple] = []
-    m1, run = [0] * k, [0] * k  # run[i]: positions up to i that hold m_i and m1[i]
-
-    def walk(i: int, s1: int, q1: int, q2: int, size: int) -> None:
-        if i == k:
-            found.append(((d1, tuple(m1)), (d2, tuple(map(sub, m, m1))), size, d1 < d2))
-            return
-        j = i + 1
-        r = ranges[i]
-        prev = previous[i]
-        if prev is not None:
-            r = range(r.start, min(r.stop, m1[prev] + 1))
-        for a in r:
-            b = m[i] - a
-            s, p1, p2 = s1 + a, q1 + a * (a - 1), q2 + b * (b - 1)
-            if (
-                s + rest_s_min[j] > s1_max
-                or s + rest_s_max[j] < s1_min
-                or p1 + rest_q1_min[j] > q1_max
-                or p2 + rest_q2_min[j] > q2_max
-            ):
-                continue
-            m1[i] = a
-            run[i] = run[prev] + 1 if prev is not None and m1[prev] == a else 1
-            # the orbit size is a product of multinomials n! / (c_1! c_2! ...), one
-            # per value of m; position i multiplies its own by rank / run, exactly
-            walk(j, s, p1, p2, size * rank[i] // run[i])
-
+    positions.reverse()
+    total = sum(m)
+    m1, run, spec = [0] * k, [0] * k, [0] * (k + 1)
     for d1 in range(1, d // 2 + 1):
         d2 = d - d1
-        # an empty range (some m_i < 0 or m_i > d) ends the walk at its position
-        ranges = [range(max(0, mi - d2), min(d1, mi) + 1) for mi in m]
-        s1_min, s1_max = sum(m) - 3 * d2 + 1, 3 * d1 - 1
+        spec[k] = (d1, d2, m, d1 < d2)
+        s_lo, s_hi = total - 3 * d2 + 1, 3 * d1 - 1
         q1_max, q2_max = (d1 - 1) * (d1 - 2), (d2 - 1) * (d2 - 2)
-        # extremes of S1, Q1 and Q2 over coordinates i..k-1; x(x - 1) is
-        # increasing on x >= 0, so each minimum sits at an end of the range
-        rest_s_min, rest_s_max = [0] * (k + 1), [0] * (k + 1)
-        rest_q1_min, rest_q2_min = [0] * (k + 1), [0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            lo, hi = ranges[i].start, ranges[i].stop - 1
-            rest_s_min[i] = rest_s_min[i + 1] + lo
-            rest_s_max[i] = rest_s_max[i + 1] + hi
-            rest_q1_min[i] = rest_q1_min[i + 1] + lo * (lo - 1)
-            rest_q2_min[i] = rest_q2_min[i + 1] + (m[i] - hi) * (m[i] - hi - 1)
-        walk(0, 0, 0, 0, 1)
-    return found
+        for i, mi, prev, rank in positions:
+            lo = mi - d2 if mi > d2 else 0
+            hi = mi if mi < d1 else d1
+            spec[i] = (lo, hi, s_lo, s_hi, q1_max, q2_max, mi, prev, rank, i == k - 1)
+            # x(x - 1) is increasing on x >= 0, so each minimum sits at an end of the box
+            s_lo, s_hi = s_lo - hi, s_hi - lo
+            q1_max -= lo * (lo - 1)
+            q2_max -= (mi - hi) * (mi - hi - 1)
+        _walk(spec, m1, run, rows, 0, 0, 0, 0, 1)
+    return rows
+
+
+def _walk(spec, m1, run, rows, i, s1, q1, q2, size) -> None:
+    """Position i of `_viable_multiplicities`' walk, with S1, Q1 and Q2 of m1[:i] and the orbit size so far.
+
+    run[i] counts the positions up to i that hold m_i and m1[i]; the orbit
+    size is a product of multinomials n! / (c_1! c_2! ...), one per value of
+    m, and position i multiplies its own by rank / run, exactly."""
+    lo, hi, s_lo, s_hi, q1_max, q2_max, mi, prev, rank, last = spec[i]
+    if prev is None:
+        top, tie = hi, -1
+    else:
+        top = tie = m1[prev]  # at most hi, as the earlier position has the same box
+    # comparisons, not min() and max(): this runs once per node of the walk
+    if s_hi - s1 < top:
+        top = s_hi - s1
+    if s_lo - s1 > lo:
+        lo = s_lo - s1
+    for a in range(lo, top + 1):
+        p1 = q1 + a * (a - 1)
+        if p1 > q1_max:
+            break
+        b = mi - a
+        p2 = q2 + b * (b - 1)
+        if p2 > q2_max:
+            continue
+        m1[i] = a
+        r = run[i] = run[prev] + 1 if a == tie else 1
+        if last:
+            d1, d2, m, swap = spec[-1]
+            rows.append(((d1, tuple(m1)), (d2, tuple(map(sub, m, m1))), size * rank // r, swap))
+        else:
+            _walk(spec, m1, run, rows, i + 1, s1 + a, p1, p2, size * rank // r)
 
 
 # relation -> (number of insertions, lowest delta(beta) at which it holds)

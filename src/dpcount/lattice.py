@@ -7,7 +7,6 @@ form is diag(1, -1, ..., -1).  All arithmetic is exact.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from functools import lru_cache
@@ -229,23 +228,34 @@ def minus_one_classes(k: int) -> tuple[DivisorClass, ...]:
 
     Domain: 0 <= k <= 8; any other k raises the blow-up count error.  The
     search walks the non-increasing profiles m in an enlarged box
-    (-2 <= m_i <= 4, d = (sum(m) + 1) / 3 in 0..7) and expands each solution
-    to its distinct rearrangements; the assertion that no solution touches
-    the enlargement proves the nominal box (d <= 6, -1 <= m_i <= 3) is big
-    enough.
+    (-2 <= m_i <= 4, d = (sum(m) + 1) / 3 in 0..7), pruned on what the
+    entries left must still sum to (sum(m) = 3d - 1, sum(m_i^2) = d^2 + 1;
+    `_profiles`), and expands each solution to its distinct rearrangements;
+    the assertion that no solution touches the enlargement proves the
+    nominal box (d <= 6, -1 <= m_i <= 3) is big enough.
     """
     SurfaceModel(k)
     found = []
-    for base in itertools.combinations_with_replacement(range(4, -3, -1), k):
-        d, r = divmod(sum(base) + 1, 3)
-        if r or not 0 <= d <= 7 or d * d - sum(x * x for x in base) != -1:
-            continue
-        assert d <= 6 and all(-1 <= x <= 3 for x in base), (
-            f"(-1)-class search box too small: found ({d}; {base})"
-        )
-        found.extend(DivisorClass(d, m) for m in _orbit((0,) * k, base))
+    for d in range(8):
+        for base in _profiles(k, 3 * d - 1, d * d + 1, 4):
+            assert d <= 6 and all(-1 <= x <= 3 for x in base), (
+                f"(-1)-class search box too small: found ({d}; {base})"
+            )
+            found.extend(DivisorClass(d, m) for m in _orbit((0,) * k, base))
     found.sort(key=lambda b: (b.d, b.m))
     return tuple(found)
+
+
+def _profiles(n: int, s: int, q: int, top: int) -> list[tuple[int, ...]]:
+    """The non-increasing n-tuples over -2..top with sum s and sum of squares q.
+
+    A branch is cut once no such tuple is left: each entry squared is at
+    most max(top^2, 4), and s^2 <= n q (Cauchy-Schwarz)."""
+    if q < 0 or s * s > n * q or not -2 * n <= s <= top * n or q > n * max(top * top, 4):
+        return []
+    if not n:
+        return [()]
+    return [(a, *rest) for a in range(top, -3, -1) for rest in _profiles(n - 1, s - a, q - a * a, a)]
 
 
 def _orbit(m: tuple[int, ...], m1: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -254,21 +264,24 @@ def _orbit(m: tuple[int, ...], m1: tuple[int, ...]) -> list[tuple[int, ...]]:
     for mi, a in zip(m, m1):
         pools.setdefault(mi, []).append(a)
     found: list[tuple[int, ...]] = []
-    row = [0] * len(m)
-
-    def fill(i: int) -> None:
-        if i == len(m):
-            found.append(tuple(row))
-            return
-        pool = pools[m[i]]
-        for a in sorted(set(pool)):
-            pool.remove(a)
-            row[i] = a
-            fill(i + 1)
-            pool.append(a)
-
-    fill(0)
+    _fill(m, pools, [0] * len(m), 0, found)
     return found
+
+
+def _fill(m: tuple[int, ...], pools: dict, row: list[int], i: int, found: list) -> None:
+    """`_orbit`'s walk from position i, drawing each m1 entry from the pool of its m_i.
+
+    A module function, not a closure that refers to itself, so `_orbit`
+    leaves no reference cycle behind."""
+    if i == len(m):
+        found.append(tuple(row))
+        return
+    pool = pools[m[i]]
+    for a in sorted(set(pool)):
+        pool.remove(a)
+        row[i] = a
+        _fill(m, pools, row, i + 1, found)
+        pool.append(a)
 
 
 @lru_cache(maxsize=None)

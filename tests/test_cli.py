@@ -447,6 +447,16 @@ class TestFreshProcess:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=self.ENV)
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
+    def test_import_loads_no_fractions_until_a_cusp_count(self):
+        # nbeta never needs fractions (nor the decimal it imports); cbeta imports it on first use
+        code = (
+            f"import sys; sys.path.insert(0, {self.PACKAGE_ROOT!r}); import dpcount, dpcount.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules))); dpcount.cli.main(['cbeta', '4;'])"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=self.ENV)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "[]\nC=2304 first=1395 boundary=909 valid=true\n"
+
     def test_depth_failure_is_one_error_line(self, tmp_path):
         cache = tmp_path / "cache.tsv"
         env = {**self.ENV, "PYTHONPATH": self.PACKAGE_ROOT, "DPCOUNT_CACHE": str(cache)}

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from itertools import combinations_with_replacement, product
@@ -29,10 +30,12 @@ from dpcount.lattice import (
     canonical_form,
     delta,
     intersect,
+    minus_one_classes,
     parse_class_literal,
     reduced_form,
 )
 from dpcount import gw, verify
+from dpcount.cusp import c_beta
 from oracles import plane_count
 
 
@@ -367,9 +370,17 @@ class TestSplittings:
             assert engine.splittings(beta) == box_splittings(engine, beta), beta
 
     def test_matches_box_enumeration_large_k(self):
+        # canonical and reversed: the walk caps each position by the last earlier one with equal m_i
         engine = GWEngine()
         for beta in large_classes():
-            assert engine.splittings(beta) == box_splittings(engine, beta), beta
+            for b in (beta, DivisorClass(beta.d, beta.m[::-1])):
+                assert engine.splittings(b) == box_splittings(engine, b), b
+
+    def test_matches_box_enumeration_on_plane_classes(self):
+        # the k = 0 rows are listed without the walk, one per 1 <= d1 <= d/2
+        engine = GWEngine()
+        for d in range(41):
+            assert engine.splittings(P(d)) == box_splittings(engine, P(d)), d
 
 
 class TestSplittingOrbits:
@@ -816,6 +827,29 @@ class TestNBeta:
 
 
 _shared_engine = GWEngine()
+
+
+class TestNoCyclicGarbage:
+    def test_counts_tables_and_splittings_leave_nothing_for_the_collector(self):
+        # reference counting alone frees what a cold count, a (-1)-class table,
+        # a splitting list and a cusp count build: no call may leave a reference
+        # cycle, such as a closure that refers to itself, for the collector to find
+        steps = {
+            "cold N of both cold_nbeta anchors": lambda: [
+                GWEngine().n_beta(parse_class_literal(text)) for text in ("8;2,2,2,2,2,2", "7;3,2,2,2,2,2,2,2")
+            ],
+            "minus_one_classes(8) rebuilt": lambda: (minus_one_classes.cache_clear(), minus_one_classes(8)),
+            "splittings(7;3,2^7)": lambda: GWEngine().splittings(parse_class_literal("7;3,2,2,2,2,2,2,2")),
+            "c_beta(6;2,1,1)": lambda: c_beta(GWEngine(), parse_class_literal("6;2,1,1")),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            for name, step in steps.items():
+                step()
+                assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
 
 class TestRelationSolve:

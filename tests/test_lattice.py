@@ -1,6 +1,7 @@
 import hashlib
 import operator
 import pickle
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from dpcount.lattice import (
     DivisorClass,
     SurfaceModel,
+    _profiles,
     arithmetic_genus,
     blown_down_form,
     canonical_form,
@@ -190,6 +192,15 @@ class TestMinusOneClasses:
     def test_deterministic_order(self):
         classes_ = minus_one_classes(6)
         assert list(classes_) == sorted(classes_, key=lambda b: (b.d, b.m))
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_the_pruned_search_finds_what_the_whole_box_holds(self, k):
+        # the box assertion of minus_one_classes reads what the search finds,
+        # so pruning must lose no profile of the enlarged box -2 <= m_i <= 4, d <= 7
+        box = list(combinations_with_replacement(range(4, -3, -1), k))
+        for d in range(8):
+            whole = [m for m in box if sum(m) == 3 * d - 1 and sum(x * x for x in m) == d * d + 1]
+            assert _profiles(k, 3 * d - 1, d * d + 1, 4) == whole, d
 
     def test_listings_are_pinned(self):
         # sha256 of the literals of k = 0..8, one per line in listing order,
