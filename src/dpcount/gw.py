@@ -273,19 +273,30 @@ class RelationEvaluator:
     rows of equal projection and delta(beta1) are merged into one first.
 
     Only x.y (kept in `_PAIRINGS` for the solves' L and -K), x.beta and the
-    merged rows are built up front, nothing per row and divisor.  Each rhs
-    is one dot product of two per-row lists, and each list is built straight
-    from the merged rows when a tuple first reads it and kept for every later
-    tuple: the R1 solve on (L, -K) builds one factor list and one x2 column,
-    and `consistency_check` reuses each list over its tuples.  The binomials
-    C(D - low, d1 - s), D = delta(beta), d1 = delta(beta1) and low the
-    relation's least delta, are looked up in `_binomials`, built once per
-    (D - low, s).
-    With Q_bc = x1_c x2_b - x1_b x2_c = (b.beta) x1_c - (c.beta) x1_b:
-    R1(a, b) = w (C(D-3, d1-1) x1_a - C(D-3, d1-2) x2_a) . x2_b,
-    R2(a, b, c) = w C(D-2, d1) x1_a . Q_bc and
-    R3(a, b, c, d) = w C(D-1, d1) x1_a x2_d . Q_bc.  For R2 and R3 both sides
-    change sign when b and c are swapped, whatever the data.
+    merged rows are built up front.  Each per-row list is built straight from
+    the merged rows when a tuple first reads it, and kept: the columns x1_a
+    and x2_a, and the factor F_a of insertion a, w (C(D-3, d1-1) x1_a -
+    C(D-3, d1-2) x2_a) for R1, w C(D-2, d1) x1_a for R2 and w C(D-1, d1) x1_a
+    for R3.  The binomials C(D - low, d1 - s), D = delta(beta), d1 =
+    delta(beta1) and low the relation's least delta, are looked up in
+    `_binomials`, built once per (D - low, s).
+
+    Written lhs | rhs, R1(a, b) = (a.b) | F_a . x2_b, one dot product per
+    tuple, so the R1 solve on (L, -K) builds L's factor list and -K's x2
+    column alone.  R2 and R3 change sign when b and c are swapped, whatever
+    the data, and each side is (b.beta) u[c] - (c.beta) u[b] for a row u
+    that depends on neither b nor c, as
+    Q_bc = x1_c x2_b - x1_b x2_c = (b.beta) x1_c - (c.beta) x1_b:
+    R2(a, b, c) = (a.b)(c.beta) - (a.c)(b.beta) | F_a . Q_bc, whose rows
+    are u[e] = -(a.e) and M[a][e] = F_a . x1_e; and
+    R3(a, b, c, d) = (a.b)(c.beta)(d.beta) + (c.d)(a.beta)(b.beta)
+    - (a.c)(b.beta)(d.beta) - (b.d)(a.beta)(c.beta) | F_a x2_d . Q_bc, whose
+    rows are u[e] = (a.beta)(d.e) - (d.beta)(a.e) and
+    T[a][d][e] = F_a x2_d . x1_e.  `_tables` builds both tables of R2 or R3
+    whole on its first tuple, n^2 or n^3 dot products over the rows for n
+    divisors, against one per tuple.  `relations` sweeps a list of tuples in
+    one loop, reading R2 and R3 off the tables, and `relation`, `lhs` and
+    `rhs` read one tuple through it.
     """
 
     def __init__(self, beta: DivisorClass, divisors, rows=()):
@@ -296,27 +307,19 @@ class RelationEvaluator:
         self.rows = merged = {}  # (projection, delta1) -> w
         for p, w, d1 in rows:
             merged[p, d1] = merged.get((p, d1), 0) + w
-        self._factors: dict[tuple, list[int]] = {}
+        self._factors = {}  # ("x1" | "x2" | name, a) -> per-row list, (name,) -> R2's or R3's tables
 
     def _factor(self, key: tuple) -> list[int]:
         """The per-row list `key`, built from the merged rows on first use and kept: ("x1", a) is x1_a,
-        ("x2", a) is x2_a; (name, a) is the factor of insertion a, w (C(D-3, d1-1) x1_a -
-        C(D-3, d1-2) x2_a) for R1, w C(D-2, d1) x1_a for R2 and w C(D-1, d1) x1_a for R3;
-        ("R3", a, d) is w C(D-1, d1) x1_a x2_d; ("Q", b, c) is Q_bc = (b.beta) x1_c - (c.beta) x1_b."""
+        ("x2", a) is x2_a and (name, a) the factor F_a of insertion a in relation `name`."""
         found = self._factors.get(key)
         if found is None:
-            rows, name, a = self.rows, key[0], key[1]
+            rows, (name, a) = self.rows, key
             if name == "x1":
                 found = [p[a] for p, _ in rows]
             elif name == "x2":
                 x = self.on_beta[a]
                 found = [x - p[a] for p, _ in rows]
-            elif name == "Q":
-                x1b, x1c = self._factor(("x1", a)), self._factor(("x1", key[2]))
-                xb, xc = repeat(self.on_beta[a]), repeat(self.on_beta[key[2]])
-                found = list(map(sub, map(mul, xb, x1c), map(mul, xc, x1b)))
-            elif len(key) == 3:
-                found = list(map(mul, self._factor((name, a)), self._factor(("x2", key[2]))))
             elif name == "R1":
                 x, n = self.on_beta[a], self.delta - 3
                 hi, lo = _binomials(n, 1).get, _binomials(n, 2).get
@@ -327,31 +330,62 @@ class RelationEvaluator:
             self._factors[key] = found
         return found
 
-    def lhs(self, name: str, ins: tuple[int, ...]) -> int:
-        pair, xb = self.pair, self.on_beta
+    def _tables(self, name: str) -> tuple:
+        """R2's or R3's tables (U, T), built on first use and kept: with u = U[r] and t = T[r],
+        r = a for R2 and a * n + d for R3 (n divisors), a tuple's lhs is (b.beta) u[c] - (c.beta) u[b] and its
+        rhs (b.beta) t[c] - (c.beta) t[b]."""
+        tables = self._factors.get((name,))
+        if tables is None:
+            n, pair, xb, factor = range(len(self.divisors)), self.pair, self.on_beta, self._factor
+            rights = [factor((name, a)) for a in n]
+            if name == "R2":  # u[e] = -(a.e), t[e] = M[a][e]
+                lefts = [[-x for x in pair[a]] for a in n]
+            else:  # u[e] = (a.beta)(d.e) - (d.beta)(a.e), t[e] = T[a][d][e]
+                lefts = [[xb[a] * p - xb[d] * q for p, q in zip(pair[d], pair[a])] for a in n for d in n]
+                x2 = [factor(("x2", d)) for d in n]
+                rights = [list(map(mul, f, y)) for f in rights for y in x2]
+            x1 = [factor(("x1", e)) for e in n]
+            tables = self._factors[name,] = lefts, [[sum(map(mul, f, x)) for x in x1] for f in rights]
+        return tables
+
+    def relations(self, name: str, tuples, every=False) -> list[WDVVRelation]:
+        """Relation `name` on each insertion tuple of `tuples`, in order, but for the tuples that
+        read 0 = 0 unless `every`.  A list: a generator, resumed from C by `next()`, would add a
+        level of recursion to every solve."""
+        found, pair, xb, pick = [], self.pair, self.on_beta, self.divisors.__getitem__
         if name == "R1":  # insertions (pt, pt, A, B)
-            return pair[ins[0]][ins[1]]
-        if name == "R2":  # insertions (A, B, C, pt)
-            a, b, c = ins
-            return pair[a][b] * xb[c] - pair[a][c] * xb[b]
-        a, b, c, d = ins  # insertions (A, B, C, D)
-        return (
-            pair[a][b] * xb[c] * xb[d]
-            + pair[c][d] * xb[a] * xb[b]
-            - pair[a][c] * xb[b] * xb[d]
-            - pair[b][d] * xb[a] * xb[c]
-        )
+            factor = self._factor
+            for ins in tuples:
+                a, b = ins
+                lhs, rhs = pair[a][b], sum(map(mul, factor(("R1", a)), factor(("x2", b))))
+                if every or lhs or rhs:
+                    found.append(WDVVRelation(name, tuple(map(pick, ins)), lhs, rhs))
+            return found
+        (lefts, rights), n = self._tables(name), len(xb)
+        for ins in tuples:
+            if name == "R3":  # insertions (A, B, C, D)
+                a, b, c, d = ins
+                r = a * n + d
+            else:  # insertions (A, B, C, pt)
+                r, b, c = ins
+            u = lefts[r]  # one assignment each: a tuple of four would be built and unpacked
+            t = rights[r]
+            xbb = xb[b]
+            xc = xb[c]
+            lhs = xbb * u[c] - xc * u[b]
+            rhs = xbb * t[c] - xc * t[b]
+            if every or lhs or rhs:
+                found.append(WDVVRelation(name, tuple(map(pick, ins)), lhs, rhs))
+        return found
+
+    def lhs(self, name: str, ins: tuple[int, ...]) -> int:
+        return self.relation(name, ins).lhs_coeff
 
     def rhs(self, name: str, ins: tuple[int, ...]) -> int:
-        factor = self._factor
-        if name == "R1":
-            return sum(map(mul, factor(("R1", ins[0])), factor(("x2", ins[1]))))
-        left = factor((name, ins[0])) if name == "R2" else factor((name, ins[0], ins[3]))
-        return sum(map(mul, left, factor(("Q", ins[1], ins[2]))))
+        return self.relation(name, ins).rhs
 
     def relation(self, name: str, ins: tuple[int, ...]) -> WDVVRelation:
-        divisors = tuple(map(self.divisors.__getitem__, ins))
-        return WDVVRelation(name, divisors, self.lhs(name, ins), self.rhs(name, ins))
+        return self.relations(name, (ins,), every=True)[0]
 
 
 class GWEngine:
@@ -576,8 +610,9 @@ class GWEngine:
         for name, (arity, low) in RELATIONS.items():
             if evaluator.delta >= low:  # R2 or R3, as delta < 3
                 for ins in product((0, 1), repeat=arity):
-                    if evaluator.lhs(name, ins) != 0:
-                        return evaluator.relation(name, ins)
+                    relation = evaluator.relation(name, ins)
+                    if relation.lhs_coeff:
+                        return relation
         raise UnderdeterminedError(
             f"no nondegenerate relation on L and -K for {beta} "
             f"(k={beta.k}, delta={evaluator.delta}); the solve needs a reduced key"
@@ -598,23 +633,9 @@ class GWEngine:
         value = self.n_beta(beta)
         evaluator = RelationEvaluator(beta, basis, self._splitting_data(beta))
         report = ConsistencyReport(beta=beta, value=value, relations=[])
-        pick = evaluator.divisors.__getitem__
         for name, (arity, low) in RELATIONS.items():
-            if evaluator.delta < low:
-                continue
-            # R2 and R3 are antisymmetric in (b, c): b = c reads 0 = 0 and b > c
-            # negates the tuple with b and c swapped, which product() met earlier
-            sides: dict[tuple, tuple[int, int]] = {}
-            for ins in product(range(len(evaluator.divisors)), repeat=arity):
-                if arity == 2 or ins[1] < ins[2]:
-                    lhs, rhs = sides[ins] = evaluator.lhs(name, ins), evaluator.rhs(name, ins)
-                elif ins[1] == ins[2]:
-                    continue
-                else:
-                    lhs, rhs = sides[(ins[0], ins[2], ins[1], *ins[3:])]
-                    lhs, rhs = -lhs, -rhs
-                if lhs or rhs:  # tuples that read 0 = 0 get no WDVVRelation
-                    report.relations.append(WDVVRelation(name, tuple(map(pick, ins)), lhs, rhs))
+            if evaluator.delta >= low:
+                report.relations.extend(evaluator.relations(name, product(range(len(basis)), repeat=arity)))
         return report
 
     # --------------------------------------------------------------- caching

@@ -85,7 +85,7 @@ def test_criterion_6_consistency_fuzz(engine):
 
 def test_criterion_6_consistency_fuzz_large_k(engine):
     # seed 1, the draw of `verify --suite consistency`: its 200 classes include every
-    # k = 5..8 (seed 0 draws no k = 8 class); this is the one Tier-1 check of that draw
+    # k = 5..8 (seed 0 draws no k = 8 class); test_pinned.py also pins the digest of its reports
     sample = random_classes(random.Random(1), 200, k_max=8, delta_max=10, engine=engine)
     assert {beta.k for beta in sample} >= {5, 6, 7, 8}
     t0 = time.time()

@@ -972,8 +972,9 @@ class TestConsistencyMutations:
         assert lines[-1] == "consistency: 1 classes, DISAGREEMENTS FOUND"
 
     def test_mirrored_tuples_stay_antisymmetric_on_a_poisoned_half(self):
-        # consistency_check fills R2 and R3 at b > c by negating (a, c, b[, d]);
-        # that must hold for any splitting data, a poisoned N among them
+        # consistency_check reads every R2 and R3 tuple, b > c among them, off the
+        # evaluator's tables as (b.beta) u[c] - (c.beta) u[b], which changes sign
+        # when b and c swap; that must hold for any splitting data, a poisoned N among them
         engine = GWEngine()
         beta, half = DivisorClass(4, (1, 1, 1)), DivisorClass(2, (1, 0, 0))
         assert any(b1 == half for b1, _ in engine.splittings(beta))
@@ -1001,7 +1002,7 @@ class TestConsistencyMutations:
 
 
 class TestFactorisedSums:
-    """`consistency_check`'s dot products equal `pool_relations`' row-by-row sums, tuple by tuple."""
+    """`consistency_check`'s tables equal `pool_relations`' row-by-row sums, tuple by tuple."""
 
     @staticmethod
     def same_relations(engine, beta):
@@ -1020,6 +1021,23 @@ class TestFactorisedSums:
 
     def test_k8_class(self):
         assert self.same_relations(GWEngine(), DivisorClass(6, (2,) * 8))
+
+    @pytest.mark.parametrize("literal", ["6;3,2,2,2,1", "6;2,2,2,2,2,1", "7;3,2,2,2,2,2,2"])
+    def test_large_k_class_past_delta_3(self, literal):
+        # k = 5, 6, 7, with 90, 220 and 600 splittings: every relation applies
+        beta = parse_class_literal(literal)
+        assert delta(beta) >= 3
+        assert self.same_relations(GWEngine(), beta)
+
+    def test_poisoned_half_at_k_5(self):
+        # the tables are built from whatever N the halves read, a poisoned one too
+        engine = GWEngine()
+        beta, half = parse_class_literal("5;2,2,2,1,1"), DivisorClass(3, (1, 1, 1, 0, 0))
+        assert any(b1 == half for b1, _ in engine.splittings(beta))
+        assert engine.consistency_check(beta).consistent  # every half's N is in the memo now
+        engine._memo[memo_key(blown_down_form(half))] += 1
+        assert not engine.consistency_check(beta).consistent
+        assert self.same_relations(engine, beta)
 
     def test_lhs_zero_tuples_of_a_poisoned_splitting(self):
         # every relation on 1;1 reads lhs = 0, so this compares the rhs = 0 rule alone

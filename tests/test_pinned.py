@@ -1,7 +1,7 @@
-"""Digests of N and C over every small canonical class, pinned.
+"""Digests of N and C over every small canonical class, and of the consistency reports, pinned.
 
-The digests were recorded with the engine that still enumerated both orders
-of every splitting through the walk, before `_orbit_rows` listed each
+The N and C digests were recorded with the engine that still enumerated both
+orders of every splitting through the walk, before `_orbit_rows` listed each
 unordered orbit once.  Unlike `CanonicalKeyEngine`, they share no code with
 the engine under test, so an orbit that is dropped, doubled or mis-weighted
 shows here.
@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from dpcount import verify
 from dpcount.cusp import c_beta
 from dpcount.gw import GWEngine, InconsistentRelationError
 from dpcount.lattice import DivisorClass, delta
@@ -62,3 +63,36 @@ def test_c_digest_over_every_canonical_class(pinned_engine):
         lines.append(f"{b}={r.value},{r.first_term},{r.boundary_term},{r.valid}\n")
     assert (len(lines), skips) == (3564, 13)
     assert digest(lines) == "619af7d8fb0a83e01be77a3c2b3b23f5fc8ff1d4a8a483189292b5be1c15569e"
+
+
+class RecordingEngine(GWEngine):
+    """An engine that keeps every report its `consistency_check` returns."""
+
+    def __init__(self):
+        super().__init__()
+        self.reports = []
+
+    def consistency_check(self, beta):
+        report = super().consistency_check(beta)
+        self.reports.append(report)
+        return report
+
+
+def test_consistency_digest_over_the_default_draw():
+    """Every report of `verify --suite consistency` on its default draw (seed 1, 200 classes,
+    k <= 8), in order: beta, the value, and each relation's name, divisors, lhs and rhs.
+
+    Recorded with the evaluator that took one dot product per basis tuple and
+    read each (b, c)-swapped R2 and R3 tuple off by a sign change, before R2 and
+    R3 were read off per-class tables, so the reports must not change in value,
+    number or order.
+    """
+    engine = RecordingEngine()
+    assert verify.consistency_suite(engine) == (True, ["consistency: 200 classes, all relations agree"])
+    lines = []
+    for report in engine.reports:
+        lines.append(f"{report.beta}={report.value}\n")
+        for r in report.relations:
+            lines.append(f"{r.name}{tuple(map(str, r.divisors))}:{r.lhs_coeff},{r.rhs}\n")
+    assert (len(engine.reports), len(lines)) == (200, 200 + 17676)
+    assert digest(lines) == "601adbb727b36689cd448d332e03c02b5e7070ef5b2f6534d9b56791b5f32a97"
