@@ -205,13 +205,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, UnderdeterminedError, InconsistentRelationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:  # the memo may hold a partial solve, so no cache is written
-        print(
-            "error: recursion limit reached: a cold N solves its keys recursively, three Python "
-            "frames per key, so at the default limit a fresh process reaches the plane class 330;",
-            file=sys.stderr,
-        )
-        return 1
 
     if cache_path and engine.memo_size > known:  # a pure hit leaves the file as it is
         try:

@@ -53,7 +53,9 @@ def comb0(n: int, r: int) -> int:
     return math.comb(n, r) if 0 <= r <= n else 0
 
 
-@lru_cache(maxsize=None)
+# bounded: a cold N(400;) builds 798 tables, one or two per key, and reads none of them twice,
+# while a consistency draw, a table sweep or a k = 8 solve reads at most 33 distinct ones
+@lru_cache(maxsize=64)
 def _binomials(n: int, shift: int) -> dict[int, int]:
     """{d1: C(n, d1 - shift)} where it is nonzero: comb0(n, d1 - shift) is its get(d1, 0)."""
     return dict(zip(range(shift, shift + n + 1), map(math.comb, repeat(n), range(n + 1))))
@@ -150,7 +152,7 @@ def _base_value(d: int, m: tuple[int, ...]) -> int | None:
     """N of the class (d, m) where no relation is needed: a seed's value, 0 where N certainly
     vanishes for geometric reasons, None otherwise.
 
-    The one seed and vanishing rule, read by `GWEngine._value`, `_orbit_rows`
+    The one seed and vanishing rule, read by `GWEngine._solve`, `_orbit_rows`
     and `GWEngine.quick_vanishing`; `GWEngine.seed_value` reads its seed
     table, `_seed_keys`.  N vanishes at d < 0, at d = 0 but for the E_i
     (seeds), and at d >= 1 when some m_i < 0 or m_i > d, when
@@ -295,8 +297,8 @@ class RelationEvaluator:
     T[a][d][e] = F_a x2_d . x1_e.  `_tables` builds both tables of R2 or R3
     whole on its first tuple, n^2 or n^3 dot products over the rows for n
     divisors, against one per tuple.  `relations` sweeps a list of tuples in
-    one loop, reading R2 and R3 off the tables, and `relation`, `lhs` and
-    `rhs` read one tuple through it.
+    one loop, reading R2 and R3 off the tables, and `relation` reads one
+    tuple through it.
     """
 
     def __init__(self, beta: DivisorClass, divisors, rows=()):
@@ -350,8 +352,7 @@ class RelationEvaluator:
 
     def relations(self, name: str, tuples, every=False) -> list[WDVVRelation]:
         """Relation `name` on each insertion tuple of `tuples`, in order, but for the tuples that
-        read 0 = 0 unless `every`.  A list: a generator, resumed from C by `next()`, would add a
-        level of recursion to every solve."""
+        read 0 = 0 unless `every`."""
         found, pair, xb, pick = [], self.pair, self.on_beta, self.divisors.__getitem__
         if name == "R1":  # insertions (pt, pt, A, B)
             factor = self._factor
@@ -378,12 +379,6 @@ class RelationEvaluator:
                 found.append(WDVVRelation(name, tuple(map(pick, ins)), lhs, rhs))
         return found
 
-    def lhs(self, name: str, ins: tuple[int, ...]) -> int:
-        return self.relation(name, ins).lhs_coeff
-
-    def rhs(self, name: str, ins: tuple[int, ...]) -> int:
-        return self.relation(name, ins).rhs
-
     def relation(self, name: str, ins: tuple[int, ...]) -> WDVVRelation:
         return self.relations(name, (ins,), every=True)[0]
 
@@ -407,7 +402,7 @@ class GWEngine:
 
     def __init__(self):
         self._memo: dict[tuple, int] = {}  # `blown_down_key` (d, m) -> N
-        self._half_n: dict[tuple, int] = {}  # canonical half (d, m) -> N, `_half_value`
+        self._half_n: dict[tuple, int] = {}  # canonical half (d, sorted m) -> N, filed by `_rows`
         self._loaded: dict[str, bytes] = {}  # path -> the bytes `load_cache` merged from it
         self.cusp_boundary: dict[DivisorClass, Fraction] = {}
 
@@ -472,20 +467,35 @@ class GWEngine:
         return tuple(pairs)
 
     def _orbit_data(self, beta: DivisorClass, orbits=None) -> list[tuple]:
-        """Rows (half1, size*N1*N2*(beta1.beta2), delta(beta1)), and (half2, ...) too with `swap`,
-        over the orbit rows `orbits` of beta, by default every orbit of `_orbit_rows(beta)`;
-        zeros dropped, N per half from `_half_value`, and N2 not looked up when N1 = 0.
+        """`_rows` of beta over the orbit rows `orbits`, by default every orbit of `_orbit_rows(beta)`,
+        run by `_run`.
 
-        The cusp boundary sum of `cusp.c_beta` and the delta 1 and 2 solves of
-        N read every orbit, E_i orbits included; the delta >= 3 solve reads the
-        orbits that the walk lists for d1 >= 1.  `_orbit_relation` takes the
-        rows of either solve."""
-        lookup = self._half_value
+        The cusp boundary sum of `cusp.c_beta` reads every orbit, E_i orbits included."""
+        return self._run(self._rows(beta, self._orbit_rows(beta) if orbits is None else orbits))
+
+    def _rows(self, beta: DivisorClass, orbits):
+        """Task of `_run` that returns the rows (half1, size*N1*N2*(beta1.beta2), delta(beta1)), and
+        (half2, ...) too with `swap`, over the orbit rows `orbits` of beta; zeros dropped, and N2 not
+        looked up when N1 = 0.
+
+        N of a half is filed in `_half_n` once per canonical half (d, sorted m).  The task yields
+        each canonical half that `_half_n` lacks and files the N it is sent, all on ints: no class
+        is built here.  Only the solve path reads `_half_n`; `consistency_check` reads N through
+        `n_beta`, so it sees a memo entry that changed after a solve.  The delta 1 and 2 solves
+        of N read every orbit, E_i orbits included; the delta >= 3 solve reads the orbits that
+        the walk lists for d1 >= 1.  `_orbit_relation` takes the rows of either solve."""
+        known = self._half_n
         top = delta(beta) - 1  # delta(beta1) + delta(beta2)
         data = []
-        for h1, h2, size, swap in self._orbit_rows(beta) if orbits is None else orbits:
-            n1 = lookup(h1)
-            n2 = n1 and lookup(h2)
+        for h1, h2, size, swap in orbits:
+            n1 = known.get(c1 := (h1[0], tuple(sorted(h1[1], reverse=True))))
+            if n1 is None:
+                n1 = known[c1] = yield c1
+            if not n1:
+                continue
+            n2 = known.get(c2 := (h2[0], tuple(sorted(h2[1], reverse=True))))
+            if n2 is None:
+                n2 = known[c2] = yield c2
             if n2:
                 (d1, m1), (d2, m2) = h1, h2
                 w = size * n1 * n2 * (d1 * d2 - sum(map(mul, m1, m2)))
@@ -494,19 +504,6 @@ class GWEngine:
                 if swap:
                     data.append((h2, w, top - delta1))
         return data
-
-    def _half_value(self, half: tuple) -> int:
-        """N of a half (d, m), filed in `_half_n` once per canonical half (d, sorted m).
-
-        On a miss the canonical half goes to its `blown_down_key` and `_value`,
-        the memo read and solve that `n_beta` uses too, all on ints: no class
-        is built here.  Only the solve path reads `_half_n`; `consistency_check`
-        reads N through `n_beta`, so it sees a memo entry that changed after a solve."""
-        known, canonical = self._half_n, (half[0], tuple(sorted(half[1], reverse=True)))
-        value = known.get(canonical)
-        if value is None:
-            value = known[canonical] = self._value(blown_down_key(*canonical))
-        return value
 
     def _splitting_data(self, beta: DivisorClass) -> list[tuple]:
         """Evaluator rows ((d1, *m1), N1*N2*(beta1.beta2), delta(beta1)) over `splittings(beta)`,
@@ -545,47 +542,66 @@ class GWEngine:
     def n_beta(self, beta: DivisorClass) -> int:
         """N(beta), computed and memoized once per key `blown_down_key(beta.d, beta.m)`.
 
-        A hit reads the memo and builds no class.  A miss goes to `_value`, which `_half_value`
-        also calls, and builds one `DivisorClass` per key that a relation solves, none for a
-        seed or a vanishing key.  Every key that is neither a seed nor `quick_vanishing` has
-        delta >= 1 and every m_i >= 2, and is solved by `_orbit_relation`: at delta >= 3 over
-        the orbits the walk lists for d1 >= 1, at delta 1 or 2 over every orbit.  Depth domain:
-        a key nests three frames (`_orbit_relation`), so at the default recursion limit a fresh
-        process solves the plane class 330; and raises `RecursionError` on 331;, which the CLI
-        reports as one `error:` line with exit code 1."""
+        A hit reads the memo and builds no class.  A miss runs `_solve` on `_run`'s stack and
+        builds one `DivisorClass` per key that a relation solves, none for a seed or a
+        vanishing key.  Every key that is neither a seed nor `quick_vanishing` has delta >= 1
+        and every m_i >= 2, and is solved by `_orbit_relation`: at delta >= 3 over the orbits
+        the walk lists for d1 >= 1, at delta 1 or 2 over every orbit.  The value is an exact
+        int of any size; the CLI prints it in decimal, which Python limits to 4,300 digits by
+        default (`sys.get_int_max_str_digits`), so N(572;), of 4,304 digits, is the first plane
+        count past the CLI's domain."""
         key = blown_down_key(beta.d, beta.m)
         value = self._memo.get(key)
-        return self._value(key) if value is None else value
+        return self._run(self._solve(key)) if value is None else value
 
-    def _value(self, key: tuple) -> int:
-        """N of a `blown_down_key` (d, m): the memo's, else solved and filed in the memo.
+    def _solve(self, key: tuple):
+        """Task of `_run` that returns N of a `blown_down_key` (d, m), filed in the memo.
 
         `_base_value` decides seeds and vanishing keys on the ints; only a key
-        left to a relation gets a `DivisorClass`, the one a miss builds."""
-        value = self._memo.get(key)
-        if value is not None:
-            return value
+        left to a relation gets a `DivisorClass`, the one a miss builds, and
+        the rows its relation reads come from `_rows`."""
         value = _base_value(*key)
         if value is None:
             beta = DivisorClass(*key)
             orbits = _viable_multiplicities(beta.m, beta.d) if delta(beta) >= 3 else self._orbit_rows(beta)
-            value = self._orbit_relation(beta, self._orbit_data(beta, orbits)).solve()
+            rows = yield from self._rows(beta, orbits)
+            value = self._orbit_relation(beta, rows).solve()
             if value < 0:
                 raise InconsistentRelationError(f"negative count {value} for {beta}")
         self._memo[key] = value
         return value
 
+    def _run(self, task):
+        """The return value of a task of `_solve` or `_rows`, driven on one explicit stack of tasks.
+
+        A task yields a canonical half whose N it lacks and is sent that N: the
+        memo's, at the half's `blown_down_key`, or on a miss the return value of
+        a `_solve` task for that key, pushed and run to its end first.  A chain of
+        keys waiting on each other is a list of suspended tasks, not of Python
+        frames, so no recursion limit bounds it."""
+        memo, stack, value = self._memo, [task], None
+        while stack:
+            try:
+                half = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+                continue
+            key = blown_down_key(*half)
+            value = memo.get(key)
+            if value is None:
+                stack.append(self._solve(key))
+        return value
+
     def _orbit_relation(self, beta: DivisorClass, rows) -> WDVVRelation:
-        """The relation that solves a key on the insertions L and -K, over its `_orbit_data` `rows`.
+        """The relation that solves a key on the insertions L and -K, over the `_rows` of its orbits.
 
         R1(L, -K) at delta >= 3; at delta 2 the first R2 tuple of (L, -K)
         with a nonzero lhs, then R3; at delta 1 the first such R3 tuple.  L and
         -K are fixed by every permutation of the m_i, so the sum runs over
         stabiliser orbits, and a row enters only through its projection
         (L.beta1, -K.beta1) = (d1, delta(beta1) + 1), under which the evaluator
-        merges the rows.  `_value` builds `rows` itself, so a chain of keys
-        nests three frames per key, `_value` -> `_orbit_data` -> `_half_value`
-        -> `_value`.
+        merges the rows.
 
         At delta >= 3, `rows` may leave out the E_i orbits: delta(E_i) = 0
         zeroes both weights of its row, and its swap's term carries the factor

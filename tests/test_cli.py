@@ -13,6 +13,7 @@ from dpcount import cli, gw, verify
 from dpcount.cli import build_parser, main, sweep_classes
 from dpcount.gw import GWEngine
 from dpcount.lattice import DivisorClass
+from oracles import plane_count
 
 
 class TestExitCodes:
@@ -457,14 +458,26 @@ class TestFreshProcess:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "[]\nC=2304 first=1395 boundary=909 valid=true\n"
 
-    def test_depth_failure_is_one_error_line(self, tmp_path):
+    def test_a_cold_count_needs_no_recursion_depth(self, tmp_path):
+        # the keys 150;, 149;, ... wait on each other on the solve's own task stack,
+        # so a recursion limit of 60 frames, set after the imports, is enough
         cache = tmp_path / "cache.tsv"
-        env = {**self.ENV, "PYTHONPATH": self.PACKAGE_ROOT, "DPCOUNT_CACHE": str(cache)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "dpcount", "nbeta", "331;"], capture_output=True, text=True, env=env
+        code = (
+            f"import sys; sys.path.insert(0, {self.PACKAGE_ROOT!r}); from dpcount.cli import main; "
+            f"sys.setrecursionlimit(60); sys.exit(main(['--cache-path', {str(cache)!r}, 'nbeta', '150;']))"
         )
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=self.ENV)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"N={plane_count(150)}\n")
+        assert cache.exists()
+
+    def test_a_count_past_the_digit_limit_is_one_error_line(self, tmp_path):
+        # N(130;) has 654 digits; the CLI prints counts in decimal and leaves Python's
+        # process-wide int-to-str limit as it is, so such a count ends the command
+        cache = tmp_path / "cache.tsv"
+        env = {**self.ENV, "PYTHONPATH": self.PACKAGE_ROOT}
+        argv = ["-X", "int_max_str_digits=640", "-m", "dpcount", "--cache-path", str(cache), "nbeta", "130;"]
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (1, "")
         (line,) = proc.stderr.splitlines()
-        assert line.startswith("error: recursion limit reached") and "330;" in line
+        assert line.startswith("error: Exceeds the limit (640 digits) for integer string conversion")
         assert not cache.exists()
