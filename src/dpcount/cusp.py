@@ -81,10 +81,10 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
         _import_fraction()
     ft = (Fraction(3 + beta.k) - Fraction(9 - beta.k, db + 1)) * n
     # the boundary sum is the same for every permutation of beta, so it is
-    # kept per canonical class.  Its rows (half, w, delta1) are those of every
-    # splitting orbit, `GWEngine._orbit_data`: w = size * N1 * N2 * (beta1.beta2) per stabiliser
-    # orbit, a swapped orbit is a row of its own, and rows with a vanishing
-    # half are dropped, as their terms are 0.
+    # kept per canonical class.  It reads the weights of every splitting
+    # orbit, `GWEngine._orbit_data`: {(d1, delta1): sum of size * N1 * N2 * (beta1.beta2)},
+    # a swapped orbit adding at its own half, and folds them by delta1, as a
+    # term depends on delta1 alone.
     # It is not keyed by the Weyl-reduced class, as N is: the formula is not
     # invariant at the domain edge, where a class such as 2;2,2 reduces to
     # one with a negative m_i, so a reduced key would change which table
@@ -93,7 +93,7 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     bt = engine.cusp_boundary.get(key)
     if bt is None:
         weights: dict[int, int] = {}
-        for _, w, d1 in engine._orbit_data(key):
+        for (_, d1), w in engine._orbit_data(key).items():
             weights[d1] = weights.get(d1, 0) + w
         bt = sum((w * _boundary_factor(db, d1) for d1, w in weights.items()), Fraction(0))
         engine.cusp_boundary[key] = bt

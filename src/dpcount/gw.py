@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from contextlib import suppress
 from functools import lru_cache
 from itertools import combinations, product, repeat
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -117,10 +117,17 @@ def divisor_pool(k: int) -> tuple[DivisorClass, ...]:
     return tuple(pool)
 
 
-# L and -K on the k-point blow-up, by k: the insertions of every solve (`GWEngine._orbit_relation`),
-# and their x.y tables, which `RelationEvaluator` reads instead of intersecting them once per key
+# L and -K on the k-point blow-up, by k: the insertions of every solve (`GWEngine._orbit_relation`)
 _LINE_AND_ANTICANONICAL = tuple((DivisorClass(1, (0,) * k), DivisorClass(3, (1,) * k)) for k in range(9))
-_PAIRINGS = {pair: [[intersect(x, y) for y in pair] for x in pair] for pair in _LINE_AND_ANTICANONICAL}
+
+
+@lru_cache(maxsize=None)
+def _basis(k: int) -> tuple:
+    """The basis L, E_1, ..., E_k of the k-point blow-up and its x.y table, diag(1, -1, ..., -1):
+    the insertions of `GWEngine.consistency_check`, built once per k on first use."""
+    surface = SurfaceModel(k)
+    basis = (surface.line(), *(surface.exceptional(i) for i in range(k)))
+    return basis, tuple(tuple(intersect(x, y) for y in basis) for x in basis)
 
 
 @lru_cache(maxsize=None)
@@ -257,6 +264,13 @@ def _walk(spec, m1, run, rows, i, s1, q1, q2, size) -> None:
 RELATIONS = {"R1": (2, 3), "R2": (3, 2), "R3": (4, 1)}
 
 
+def r1_factors(n: int, rows) -> list[int]:
+    """The R1 factor w (C(n, delta1 - 1) x1 - C(n, delta1 - 2) x2) of each row (w, delta1, x1, x2),
+    n = delta(beta) - 3: the one place the R1 factor is written, read by `RelationEvaluator` and the R1 solve."""
+    hi, lo = _binomials(n, 1).get, _binomials(n, 2).get
+    return [w * (hi(delta1, 0) * x1 - lo(delta1, 0) * x2) for w, delta1, x1, x2 in rows]
+
+
 def project(divisors, rows) -> list[tuple]:
     """Evaluator rows (x.beta1 for x in divisors, w, delta1) of rows (half, w, delta1) whose half
     beta1 is given as (d1, m1_1, ..., m1_k), its projection on the basis L, E_1, ..., E_k."""
@@ -274,18 +288,18 @@ class RelationEvaluator:
     size; `project` builds them from halves.  Both sides are multilinear, so
     rows of equal projection and delta(beta1) are merged into one first.
 
-    Only x.y (kept in `_PAIRINGS` for the solves' L and -K), x.beta and the
-    merged rows are built up front.  Each per-row list is built straight from
+    Only x.y (`pair`, which `consistency_check` passes from `_basis`), x.beta
+    and the merged rows are built up front.  Each per-row list is built from
     the merged rows when a tuple first reads it, and kept: the columns x1_a
     and x2_a, and the factor F_a of insertion a, w (C(D-3, d1-1) x1_a -
-    C(D-3, d1-2) x2_a) for R1, w C(D-2, d1) x1_a for R2 and w C(D-1, d1) x1_a
-    for R3.  The binomials C(D - low, d1 - s), D = delta(beta), d1 =
-    delta(beta1) and low the relation's least delta, are looked up in
-    `_binomials`, built once per (D - low, s).
+    C(D-3, d1-2) x2_a) for R1 (`r1_factors`, over the x1_a and x2_a columns),
+    w C(D-2, d1) x1_a for R2 and w C(D-1, d1) x1_a for R3.  The binomials
+    C(D - low, d1 - s), D = delta(beta), d1 = delta(beta1) and low the
+    relation's least delta, are looked up in `_binomials`, built once per
+    (D - low, s).
 
     Written lhs | rhs, R1(a, b) = (a.b) | F_a . x2_b, one dot product per
-    tuple, so the R1 solve on (L, -K) builds L's factor list and -K's x2
-    column alone.  R2 and R3 change sign when b and c are swapped, whatever
+    tuple.  R2 and R3 change sign when b and c are swapped, whatever
     the data, and each side is (b.beta) u[c] - (c.beta) u[b] for a row u
     that depends on neither b nor c, as
     Q_bc = x1_c x2_b - x1_b x2_c = (b.beta) x1_c - (c.beta) x1_b:
@@ -301,10 +315,10 @@ class RelationEvaluator:
     tuple through it.
     """
 
-    def __init__(self, beta: DivisorClass, divisors, rows=()):
+    def __init__(self, beta: DivisorClass, divisors, rows=(), pair=None):
         self.divisors = divisors = tuple(divisors)
         self.delta = delta(beta)
-        self.pair = _PAIRINGS.get(divisors) or [[intersect(x, y) for y in divisors] for x in divisors]
+        self.pair = pair or [[intersect(x, y) for y in divisors] for x in divisors]
         self.on_beta = [intersect(x, beta) for x in divisors]
         self.rows = merged = {}  # (projection, delta1) -> w
         for p, w, d1 in rows:
@@ -323,9 +337,8 @@ class RelationEvaluator:
                 x = self.on_beta[a]
                 found = [x - p[a] for p, _ in rows]
             elif name == "R1":
-                x, n = self.on_beta[a], self.delta - 3
-                hi, lo = _binomials(n, 1).get, _binomials(n, 2).get
-                found = [w * (hi(d1, 0) * p[a] - lo(d1, 0) * (x - p[a])) for (p, d1), w in rows.items()]
+                x1, x2 = self._factor(("x1", a)), self._factor(("x2", a))
+                found = r1_factors(self.delta - 3, zip(rows.values(), map(itemgetter(1), rows), x1, x2))
             else:
                 c = _binomials(self.delta - RELATIONS[name][1], 0).get
                 found = [w * c(d1, 0) * p[a] for (p, d1), w in rows.items()]
@@ -391,9 +404,10 @@ class GWEngine:
     N is invariant under W(E_k) and under blowing down a point of
     multiplicity 0 or 1, so every class that shares a key shares one memo
     entry, solved on the smallest surface, and the persistent cache stores
-    keys only.  Every key is solved by one relation on L and -K over its
-    splitting orbits, merged per (d1, sum m1) (`_orbit_relation`): R1 at
-    delta >= 3, where the E_i orbits add nothing, so that solve reads N of
+    keys only.  Every key is solved by one relation on L and -K over the
+    weights of its splitting orbits, which `_rows` merges per (d1, delta1) as
+    it scans them (`_orbit_relation`): R1 at delta >= 3, summed straight off
+    the weights, where the E_i orbits add nothing, so that solve reads N of
     halves of lower degree only, never of beta - E_i; R2 or R3 at delta 1
     or 2.  No orbit rows are kept: `_orbit_rows` lists them on every call.
     The memo, `_half_n` and the cusp boundary sums that `cusp.c_beta` keeps,
@@ -466,27 +480,29 @@ class GWEngine:
         pairs.sort(key=lambda p: (p[0].d, p[0].m))
         return tuple(pairs)
 
-    def _orbit_data(self, beta: DivisorClass, orbits=None) -> list[tuple]:
-        """`_rows` of beta over the orbit rows `orbits`, by default every orbit of `_orbit_rows(beta)`,
-        run by `_run`.
+    def _orbit_data(self, beta: DivisorClass, orbits=None) -> dict:
+        """The weights `_rows` merges over the orbit rows `orbits` of beta, by default every orbit
+        of `_orbit_rows(beta)`, run by `_run`.
 
         The cusp boundary sum of `cusp.c_beta` reads every orbit, E_i orbits included."""
         return self._run(self._rows(beta, self._orbit_rows(beta) if orbits is None else orbits))
 
     def _rows(self, beta: DivisorClass, orbits):
-        """Task of `_run` that returns the rows (half1, size*N1*N2*(beta1.beta2), delta(beta1)), and
-        (half2, ...) too with `swap`, over the orbit rows `orbits` of beta; zeros dropped, and N2 not
-        looked up when N1 = 0.
+        """Task of `_run` that returns the splitting weights {(d1, delta(beta1)): w} of the orbit rows
+        `orbits` of beta, merged in one scan: each row adds w = size*N1*N2*(beta1.beta2) at its half1,
+        and with `swap` at its half2 too; a row with N1 = 0 or N2 = 0 adds nothing, and N2 is not
+        looked up when N1 = 0.  Every reader sees a row only through (d1, delta1), the projection
+        (L.beta1, -K.beta1 - 1), so no row is kept.
 
         N of a half is filed in `_half_n` once per canonical half (d, sorted m).  The task yields
         each canonical half that `_half_n` lacks and files the N it is sent, all on ints: no class
         is built here.  Only the solve path reads `_half_n`; `consistency_check` reads N through
         `n_beta`, so it sees a memo entry that changed after a solve.  The delta 1 and 2 solves
         of N read every orbit, E_i orbits included; the delta >= 3 solve reads the orbits that
-        the walk lists for d1 >= 1.  `_orbit_relation` takes the rows of either solve."""
+        the walk lists for d1 >= 1.  `_orbit_relation` takes the weights of either solve."""
         known = self._half_n
         top = delta(beta) - 1  # delta(beta1) + delta(beta2)
-        data = []
+        weights = {}  # (d1, delta1) -> w
         for h1, h2, size, swap in orbits:
             n1 = known.get(c1 := (h1[0], tuple(sorted(h1[1], reverse=True))))
             if n1 is None:
@@ -500,10 +516,10 @@ class GWEngine:
                 (d1, m1), (d2, m2) = h1, h2
                 w = size * n1 * n2 * (d1 * d2 - sum(map(mul, m1, m2)))
                 delta1 = 3 * d1 - sum(m1) - 1
-                data.append((h1, w, delta1))
+                weights[d1, delta1] = weights.get((d1, delta1), 0) + w
                 if swap:
-                    data.append((h2, w, top - delta1))
-        return data
+                    weights[d2, top - delta1] = weights.get((d2, top - delta1), 0) + w
+        return weights
 
     def _splitting_data(self, beta: DivisorClass) -> list[tuple]:
         """Evaluator rows ((d1, *m1), N1*N2*(beta1.beta2), delta(beta1)) over `splittings(beta)`,
@@ -517,7 +533,8 @@ class GWEngine:
     # ------------------------------------------------------------- relations
 
     def _relation(self, name: str, beta: DivisorClass, divisors) -> WDVVRelation:
-        """Relation `name` over the whole splitting list of beta; the formulas are in `RelationEvaluator`."""
+        """Relation `name` over the whole splitting list of beta; the formulas are in `RelationEvaluator`
+        and `r1_factors`."""
         low = RELATIONS[name][1]
         db = delta(beta)
         if db < low:
@@ -552,64 +569,75 @@ class GWEngine:
         count past the CLI's domain."""
         key = blown_down_key(beta.d, beta.m)
         value = self._memo.get(key)
-        return self._run(self._solve(key)) if value is None else value
+        return self._run(self._solve(key), key) if value is None else value
 
     def _solve(self, key: tuple):
         """Task of `_run` that returns N of a `blown_down_key` (d, m), filed in the memo.
 
         `_base_value` decides seeds and vanishing keys on the ints; only a key
         left to a relation gets a `DivisorClass`, the one a miss builds, and
-        the rows its relation reads come from `_rows`."""
+        the weights its relation reads come from `_rows`."""
         value = _base_value(*key)
         if value is None:
             beta = DivisorClass(*key)
             orbits = _viable_multiplicities(beta.m, beta.d) if delta(beta) >= 3 else self._orbit_rows(beta)
-            rows = yield from self._rows(beta, orbits)
-            value = self._orbit_relation(beta, rows).solve()
+            weights = yield from self._rows(beta, orbits)
+            value = self._orbit_relation(beta, weights).solve()
             if value < 0:
                 raise InconsistentRelationError(f"negative count {value} for {beta}")
         self._memo[key] = value
         return value
 
-    def _run(self, task):
-        """The return value of a task of `_solve` or `_rows`, driven on one explicit stack of tasks.
+    def _run(self, task, key=None):
+        """The return value of a task of `_solve` (for `key`) or `_rows`, driven on one explicit
+        stack of tasks.
 
         A task yields a canonical half whose N it lacks and is sent that N: the
         memo's, at the half's `blown_down_key`, or on a miss the return value of
         a `_solve` task for that key, pushed and run to its end first.  A chain of
         keys waiting on each other is a list of suspended tasks, not of Python
-        frames, so no recursion limit bounds it."""
-        memo, stack, value = self._memo, [task], None
+        frames, so no recursion limit bounds it.  A key whose solve is already
+        on the stack would wait on itself for ever, so it raises
+        `InconsistentRelationError`; correct keys never cycle, as every half
+        has a lower degree or a lower delta."""
+        memo, stack, pending, value = self._memo, [task], {key: None}, None  # pending: the stack's keys, in order
         while stack:
             try:
                 half = stack[-1].send(value)
             except StopIteration as done:
                 stack.pop()
+                pending.popitem()
                 value = done.value
                 continue
             key = blown_down_key(*half)
             value = memo.get(key)
             if value is None:
+                if key in pending:
+                    raise InconsistentRelationError(f"the solve of the key {key} waits on itself")
+                pending[key] = None
                 stack.append(self._solve(key))
         return value
 
-    def _orbit_relation(self, beta: DivisorClass, rows) -> WDVVRelation:
-        """The relation that solves a key on the insertions L and -K, over the `_rows` of its orbits.
+    def _orbit_relation(self, beta: DivisorClass, weights) -> WDVVRelation:
+        """The relation that solves a key on the insertions L and -K, over the weights `_rows`
+        merged from its orbits.
 
         R1(L, -K) at delta >= 3; at delta 2 the first R2 tuple of (L, -K)
         with a nonzero lhs, then R3; at delta 1 the first such R3 tuple.  L and
         -K are fixed by every permutation of the m_i, so the sum runs over
         stabiliser orbits, and a row enters only through its projection
-        (L.beta1, -K.beta1) = (d1, delta(beta1) + 1), under which the evaluator
-        merges the rows.
+        (L.beta1, -K.beta1) = (d1, delta(beta1) + 1), so through its key in
+        `weights`.
 
-        At delta >= 3, `rows` may leave out the E_i orbits: delta(E_i) = 0
+        At delta >= 3, `weights` may leave out the E_i orbits: delta(E_i) = 0
         zeroes both weights of its row, and its swap's term carries the factor
         L.E_i = 0, so N(beta - E_i) is never read.  The lhs is L.(-K) = 3 at
         every k, so R1(L, -K) is taken without a search, and the division
-        still checks the rhs; R1(L, L), of lhs 1, would check nothing.  The
-        evaluator then builds the R1 factor list of L and the x2 column of -K
-        alone.  At delta 1 and 2 the rows hold every orbit.
+        still checks the rhs; R1(L, L), of lhs 1, would check nothing.  Its rhs
+        is summed straight off the weights, with no evaluator: the factor of L
+        (`r1_factors`, x1 = d1, x2 = d - d1) times -K.beta2 = delta - delta1,
+        which is folded into the weight.  At delta 1 and 2 the weights hold
+        every orbit, and an evaluator on (L, -K) reads them.
         Domain there: reduced keys (`reduced_form`), neither seeds nor
         `quick_vanishing`; d >= m_1 + m_2 + m_3 >= 3 m_4 and k <= 8 give
         3d - 3 <= sum(m) <= 8d/3, so d <= 9.  Of the blown-down keys, every
@@ -619,19 +647,21 @@ class GWEngine:
         An unreduced class may have none: every fixed R3 tuple on 2;1,1,1,1
         is degenerate, and `UnderdeterminedError` is raised.
         """
-        rows = (((d1, delta1 + 1), w, delta1) for (d1, _), w, delta1 in rows)
-        evaluator = RelationEvaluator(beta, _LINE_AND_ANTICANONICAL[beta.k], rows)
-        if evaluator.delta >= 3:
-            return evaluator.relation("R1", (0, 1))
+        db, d, divisors = delta(beta), beta.d, _LINE_AND_ANTICANONICAL[beta.k]
+        if db >= 3:
+            rows = ((w * (db - delta1), delta1, d1, d - d1) for (d1, delta1), w in weights.items())
+            return WDVVRelation("R1", divisors, 3, sum(r1_factors(db - 3, rows)))
+        rows = (((d1, delta1 + 1), w, delta1) for (d1, delta1), w in weights.items())
+        evaluator = RelationEvaluator(beta, divisors, rows)
         for name, (arity, low) in RELATIONS.items():
-            if evaluator.delta >= low:  # R2 or R3, as delta < 3
+            if db >= low:  # R2 or R3, as delta < 3
                 for ins in product((0, 1), repeat=arity):
                     relation = evaluator.relation(name, ins)
                     if relation.lhs_coeff:
                         return relation
         raise UnderdeterminedError(
             f"no nondegenerate relation on L and -K for {beta} "
-            f"(k={beta.k}, delta={evaluator.delta}); the solve needs a reduced key"
+            f"(k={beta.k}, delta={db}); the solve needs a reduced key"
         )
 
     # ------------------------------------------------------------ diagnostics
@@ -644,10 +674,9 @@ class GWEngine:
         combination of the basis, so when all of these hold, every nondegenerate
         relation on any divisors, `divisor_pool`'s among them, implies the
         engine value.  The report lists the tuples that do not read 0 = 0."""
-        surface = SurfaceModel(beta.k)
-        basis = (surface.line(), *(surface.exceptional(i) for i in range(beta.k)))
+        basis, pair = _basis(beta.k)
         value = self.n_beta(beta)
-        evaluator = RelationEvaluator(beta, basis, self._splitting_data(beta))
+        evaluator = RelationEvaluator(beta, basis, self._splitting_data(beta), pair)
         report = ConsistencyReport(beta=beta, value=value, relations=[])
         for name, (arity, low) in RELATIONS.items():
             if evaluator.delta >= low:

@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
@@ -18,7 +19,6 @@ from dpcount.gw import (
     _viable_multiplicities,
     comb0,
     divisor_pool,
-    project,
     seed_classes,
 )
 from dpcount.lattice import (
@@ -48,9 +48,19 @@ def memo_key(beta):
     return beta.d, beta.m
 
 
-def on_orbits(beta, divisors, rows):
-    """An evaluator over `GWEngine._orbit_data` rows, each half (d1, m1) projected by `project`."""
-    return RelationEvaluator(beta, divisors, project(divisors, [((d1, *m1), w, d) for (d1, m1), w, d in rows]))
+def on_orbits(beta, divisors, weights):
+    """An evaluator over the `GWEngine._orbit_data` weights {(d1, delta1): w} of beta.
+
+    A weight sees its halves only through (L.beta1, -K.beta1) = (d1, delta1 + 1),
+    so it projects onto L and -K alone, and no other divisor may be asked for."""
+    surface = SurfaceModel(beta.k)
+    line, mk = surface.line(), surface.anticanonical()
+    assert all(x in (line, mk) for x in divisors), [str(x) for x in divisors]
+    rows = [
+        (tuple(d1 if x == line else delta1 + 1 for x in divisors), w, delta1)
+        for (d1, delta1), w in weights.items()
+    ]
+    return RelationEvaluator(beta, divisors, rows)
 
 
 def box_splittings(engine, beta):
@@ -213,7 +223,8 @@ class CanonicalKeyEngine(GWEngine):
     int-keyed solve, so no engine key is read.  Its keys are
     not reduced, so low-delta classes go to the pool reference solver.  It
     solves delta >= 3 by R1(-K, -K) over every orbit, E_i ones included, so it
-    also checks the engine's R1(L, -K) solve.
+    also checks the engine's R1(L, -K) solve; it sums that relation itself, term
+    by term with `comb0`, and shares no R1 code with the engine.
     """
 
     def n_beta(self, beta):
@@ -227,8 +238,13 @@ class CanonicalKeyEngine(GWEngine):
         elif self.quick_vanishing(key):
             value = 0
         elif delta(key) >= 3:
-            mk = SurfaceModel(key.k).anticanonical()
-            value = on_orbits(key, (mk, mk), self._orbit_data(key)).relation("R1", (0, 1)).solve()
+            # -K.beta1 = delta1 + 1 and -K.beta2 = delta - delta1 on a weight at (d1, delta1)
+            db, mk = delta(key), SurfaceModel(key.k).anticanonical()
+            rhs = sum(
+                w * (db - e) * (comb0(db - 3, e - 1) * (e + 1) - comb0(db - 3, e - 2) * (db - e))
+                for (_, e), w in self._orbit_data(key).items()
+            )
+            value = WDVVRelation("R1", (mk, mk), intersect(mk, mk), rhs).solve()
         else:
             value = pool_solve_low_delta(self, key)
         self._memo[key] = value
@@ -473,20 +489,20 @@ class TestR1Insertions:
         return sorted((b for b in canonical if delta(b) >= 3), key=lambda b: (b.k, b.d, b.m))
 
     @staticmethod
-    def d1_rows(engine, beta):
-        """The rows of the orbits with d1 >= 1 that `n_beta` passes to `_orbit_relation` at delta >= 3."""
+    def d1_weights(engine, beta):
+        """The weights of the orbits with d1 >= 1 that `n_beta` passes to `_orbit_relation` at delta >= 3."""
         return engine._orbit_data(beta, _viable_multiplicities(beta.m, beta.d))
 
     def test_the_e_i_orbits_add_nothing_once_l_is_inserted(self, engine):
-        # an E_i orbit gives the rows (E_i, w, 0), both of whose R1 weights are
-        # 0, and (beta - E_i, w, delta - 1), whose term is -w (a.E_i)(b.E_i)
+        # an E_i orbit adds w at (d1, delta1) = (0, 0), for the half E_i, both of whose
+        # R1 binomials are 0, and at (d, delta - 1), for beta - E_i, whose term is -w (a.E_i)(b.E_i)
         dropped = changed_by_minus_k = 0
         for beta in self.classes():
             surface = SurfaceModel(beta.k)
             line, mk = surface.line(), surface.anticanonical()
-            full, kept = engine._orbit_data(beta), self.d1_rows(engine, beta)
-            # the rows of the E_i orbits are those whose half has degree 0 or d
-            assert kept == [row for row in full if 0 < row[0][0] < beta.d], beta
+            full, kept = engine._orbit_data(beta), self.d1_weights(engine, beta)
+            # the weights of the E_i orbits are those at degree 0 or d, where no other orbit adds
+            assert kept == {key: w for key, w in full.items() if 0 < key[0] < beta.d}, beta
             dropped += len(kept) < len(full)
             for divisors in ((line, mk), (mk, line), (line, line)):
                 on_full = on_orbits(beta, divisors, full).relation("R1", (0, 1))
@@ -499,21 +515,25 @@ class TestR1Insertions:
 
     def test_merged_weights_give_the_relation_of_the_unmerged_rows(self, engine):
         # the solve merges the orbits per (L.beta1, -K.beta1); summed row by row
-        # over the unmerged orbits with d1 >= 1, R1(L, -K) has the same two sides
+        # over the unmerged orbits with d1 >= 1, each built here from the walk's
+        # orbit rows and `n_beta`, R1(L, -K) has the same two sides
         merged_somewhere = False
         for beta in self.classes():
             surface = SurfaceModel(beta.k)
             line, mk = surface.line(), surface.anticanonical()
+            rows = []  # (half, size * N1 * N2 * (beta1.beta2)), a swapped orbit a row of its own
+            for (d1, m1), (d2, m2), size, swap in _viable_multiplicities(beta.m, beta.d):
+                b1, b2 = DivisorClass(d1, m1), DivisorClass(d2, m2)
+                if w := size * engine.n_beta(b1) * engine.n_beta(b2) * intersect(b1, b2):
+                    rows.extend((half, w) for half in ((b1, b2) if swap else (b1,)))
             n, rhs, projections = delta(beta) - 3, 0, set()
-            rows = self.d1_rows(engine, beta)
-            for (d1, m1), w, delta1 in rows:
-                half = DivisorClass(d1, m1)
+            for half, w in rows:
                 a1, b1 = intersect(line, half), intersect(mk, half)
                 a2, b2 = intersect(line, beta) - a1, intersect(mk, beta) - b1
-                rhs += w * b2 * (a1 * comb0(n, delta1 - 1) - a2 * comb0(n, delta1 - 2))
+                rhs += w * b2 * (a1 * comb0(n, delta(half) - 1) - a2 * comb0(n, delta(half) - 2))
                 projections.add((a1, b1))
             merged_somewhere |= len(projections) < len(rows)
-            relation = engine._orbit_relation(beta, rows)
+            relation = engine._orbit_relation(beta, self.d1_weights(engine, beta))
             assert relation == WDVVRelation("R1", (line, mk), intersect(line, mk), rhs), str(beta)
             assert relation.lhs_coeff == 3
         assert merged_somewhere
@@ -855,6 +875,20 @@ class TestNoCyclicGarbage:
         assert memo_key(DivisorClass(5, (2, 2))) not in engine._memo
         assert memo_key(DivisorClass(8, (2,) * 6)) not in engine._memo
         assert engine.memo_size == 13  # 4; and the 12 keys solved before 5;2,2
+
+    def test_a_key_that_waits_on_itself_raises(self, monkeypatch):
+        # a wrong key map sends the half 6;3,2^7 (beta - E_1 of 6;2^8) back to 6;2^8, whose
+        # solve would then wait on itself: the driver raises at once, where it would grow
+        # its task stack until memory ran out, and files neither key
+        key, cycle, top = gw.blown_down_key, (6, (3,) + (2,) * 7), (6, (2,) * 8)
+        monkeypatch.setattr(gw, "blown_down_key", lambda d, m: top if (d, m) == cycle else key(d, m))
+        engine = GWEngine()
+        beta = parse_class_literal("7;3,2,2,2,2,2,2,2")
+        start = time.perf_counter()
+        with pytest.raises(InconsistentRelationError, match=r"key \(6, \(2, 2, 2, 2, 2, 2, 2, 2\)\) waits on itself"):
+            engine.n_beta(beta)
+        assert time.perf_counter() - start < 1
+        assert memo_key(beta) not in engine._memo and top not in engine._memo
 
     def test_counts_tables_and_splittings_leave_nothing_for_the_collector(self):
         # reference counting alone frees what a cold count, a (-1)-class table,

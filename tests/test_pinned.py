@@ -12,10 +12,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from dpcount import verify
+from dpcount import cli, verify
 from dpcount.cusp import c_beta
 from dpcount.gw import GWEngine, InconsistentRelationError
-from dpcount.lattice import DivisorClass, delta
+from dpcount.lattice import DivisorClass, delta, parse_class_literal
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +96,29 @@ def test_consistency_digest_over_the_default_draw():
             lines.append(f"{r.name}{tuple(map(str, r.divisors))}:{r.lhs_coeff},{r.rhs}\n")
     assert (len(engine.reports), len(lines)) == (200, 200 + 17676)
     assert digest(lines) == "601adbb727b36689cd448d332e03c02b5e7070ef5b2f6534d9b56791b5f32a97"
+
+
+def test_cache_half_n_and_cusp_boundary_digest(tmp_path, capsys):
+    """What a cold solve files besides the values: the cache file that `nbeta --cache-path F`
+    writes for both `cold_nbeta` anchors and 12;3^8, each from a fresh file, the sorted `_half_n`
+    items of one engine after those three solves, and its `cusp_boundary` after `cbeta 6;2,1,1`.
+
+    Recorded with the engine whose splitting rows were one tuple per orbit, before the scan
+    merged them per (d1, delta1), so neither the keys filed nor their order may move.
+    """
+    literals = ("8;2,2,2,2,2,2", "7;3,2,2,2,2,2,2,2", "12;3,3,3,3,3,3,3,3")
+    lines = []
+    for i, literal in enumerate(literals):
+        path = tmp_path / f"cache{i}.tsv"
+        assert cli.main(["--cache-path", str(path), "nbeta", literal]) == 0
+        lines.append(path.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    engine = GWEngine()
+    for literal in literals:
+        engine.n_beta(parse_class_literal(literal))
+    halves = sorted(engine._half_n.items())
+    lines.extend(f"{d};{m}={value}\n" for (d, m), value in halves)
+    c_beta(engine, parse_class_literal("6;2,1,1"))
+    lines.extend(f"{beta}={value}\n" for beta, value in engine.cusp_boundary.items())
+    assert (len(halves), len(engine.cusp_boundary)) == (931, 1)
+    assert digest(lines) == "6836cb4c62d3e71a4de0f07daefdcb4f1b464755229fb846e201fd901da8db38"
