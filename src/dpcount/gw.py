@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from contextlib import suppress
 from functools import lru_cache
 from itertools import combinations, product, repeat
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -285,34 +285,31 @@ class RelationEvaluator:
     x2 = x.beta2 = x.beta - x1 per splitting for the rhs.  A row of `rows` is
     a splitting or orbit seen only through its projection: (x1 for each
     divisor, w, delta(beta1)), with w = N1 N2 (beta1.beta2) times the orbit
-    size; `project` builds them from halves.  Both sides are multilinear, so
-    rows of equal projection and delta(beta1) are merged into one first.
+    size; `project` builds them from halves.  Both sides are linear in the
+    rows, so rows may be split or reordered freely.
 
-    Only x.y (`pair`, which `consistency_check` passes from `_basis`), x.beta
-    and the merged rows are built up front.  Each per-row list is built from
-    the merged rows when a tuple first reads it, and kept: the columns x1_a
-    and x2_a, and the factor F_a of insertion a, w (C(D-3, d1-1) x1_a -
-    C(D-3, d1-2) x2_a) for R1 (`r1_factors`, over the x1_a and x2_a columns),
-    w C(D-2, d1) x1_a for R2 and w C(D-1, d1) x1_a for R3.  The binomials
-    C(D - low, d1 - s), D = delta(beta), d1 = delta(beta1) and low the
-    relation's least delta, are looked up in `_binomials`, built once per
-    (D - low, s).
+    `__init__` builds x.y (`pair`, which `consistency_check` passes from
+    `_basis`), x.beta and the columns of the rows once: w, delta(beta1) and,
+    per divisor, x1 and x2.  The factor F_a of insertion a is
+    w (C(D-3, d1-1) x1_a - C(D-3, d1-2) x2_a) for R1 (`r1_factors`),
+    w C(D-2, d1) x1_a for R2 and w C(D-1, d1) x1_a for R3, D = delta(beta),
+    d1 = delta(beta1); the binomials are looked up in `_binomials`.
 
-    Written lhs | rhs, R1(a, b) = (a.b) | F_a . x2_b, one dot product per
-    tuple.  R2 and R3 change sign when b and c are swapped, whatever
-    the data, and each side is (b.beta) u[c] - (c.beta) u[b] for a row u
-    that depends on neither b nor c, as
+    Each relation is read off one pair of tables (U, T), which `_tables`
+    builds on its first tuple and keeps.  Written lhs | rhs,
+    R1(a, b) = (a.b) | F_a . x2_b, so U[a][b] = a.b and T[a][b] = F_a . x2_b.
+    R2 and R3 change sign when b and c are swapped, whatever the data, and
+    each side is (b.beta) u[c] - (c.beta) u[b] for a row u that depends on
+    neither b nor c, as
     Q_bc = x1_c x2_b - x1_b x2_c = (b.beta) x1_c - (c.beta) x1_b:
     R2(a, b, c) = (a.b)(c.beta) - (a.c)(b.beta) | F_a . Q_bc, whose rows
-    are u[e] = -(a.e) and M[a][e] = F_a . x1_e; and
+    are U[a][e] = -(a.e) and T[a][e] = F_a . x1_e; and
     R3(a, b, c, d) = (a.b)(c.beta)(d.beta) + (c.d)(a.beta)(b.beta)
     - (a.c)(b.beta)(d.beta) - (b.d)(a.beta)(c.beta) | F_a x2_d . Q_bc, whose
-    rows are u[e] = (a.beta)(d.e) - (d.beta)(a.e) and
-    T[a][d][e] = F_a x2_d . x1_e.  `_tables` builds both tables of R2 or R3
-    whole on its first tuple, n^2 or n^3 dot products over the rows for n
-    divisors, against one per tuple.  `relations` sweeps a list of tuples in
-    one loop, reading R2 and R3 off the tables, and `relation` reads one
-    tuple through it.
+    rows are U[a n + d][e] = (a.beta)(d.e) - (d.beta)(a.e) and
+    T[a n + d][e] = F_a x2_d . x1_e.  So R1 and R2 cost n^2 dot products
+    over the rows and R3 n^3, for n divisors.  `relations` sweeps a list of
+    tuples in one loop, and `relation` reads one tuple through it.
     """
 
     def __init__(self, beta: DivisorClass, divisors, rows=(), pair=None):
@@ -320,74 +317,56 @@ class RelationEvaluator:
         self.delta = delta(beta)
         self.pair = pair or [[intersect(x, y) for y in divisors] for x in divisors]
         self.on_beta = [intersect(x, beta) for x in divisors]
-        self.rows = merged = {}  # (projection, delta1) -> w
-        for p, w, d1 in rows:
-            merged[p, d1] = merged.get((p, d1), 0) + w
-        self._factors = {}  # ("x1" | "x2" | name, a) -> per-row list, (name,) -> R2's or R3's tables
-
-    def _factor(self, key: tuple) -> list[int]:
-        """The per-row list `key`, built from the merged rows on first use and kept: ("x1", a) is x1_a,
-        ("x2", a) is x2_a and (name, a) the factor F_a of insertion a in relation `name`."""
-        found = self._factors.get(key)
-        if found is None:
-            rows, (name, a) = self.rows, key
-            if name == "x1":
-                found = [p[a] for p, _ in rows]
-            elif name == "x2":
-                x = self.on_beta[a]
-                found = [x - p[a] for p, _ in rows]
-            elif name == "R1":
-                x1, x2 = self._factor(("x1", a)), self._factor(("x2", a))
-                found = r1_factors(self.delta - 3, zip(rows.values(), map(itemgetter(1), rows), x1, x2))
-            else:
-                c = _binomials(self.delta - RELATIONS[name][1], 0).get
-                found = [w * c(d1, 0) * p[a] for (p, d1), w in rows.items()]
-            self._factors[key] = found
-        return found
+        rows = tuple(rows)
+        self.weights = [w for _, w, _ in rows]
+        self.deltas = [d1 for _, _, d1 in rows]
+        self.x1 = [[p[a] for p, _, _ in rows] for a in range(len(divisors))]
+        self.x2 = [[x - y for y in x1] for x, x1 in zip(self.on_beta, self.x1)]
+        self._built = {}  # relation name -> its tables (U, T)
 
     def _tables(self, name: str) -> tuple:
-        """R2's or R3's tables (U, T), built on first use and kept: with u = U[r] and t = T[r],
-        r = a for R2 and a * n + d for R3 (n divisors), a tuple's lhs is (b.beta) u[c] - (c.beta) u[b] and its
-        rhs (b.beta) t[c] - (c.beta) t[b]."""
-        tables = self._factors.get((name,))
+        """The tables (U, T) of relation `name`, built on first use and kept: see the class docstring."""
+        tables = self._built.get(name)
         if tables is None:
-            n, pair, xb, factor = range(len(self.divisors)), self.pair, self.on_beta, self._factor
-            rights = [factor((name, a)) for a in n]
-            if name == "R2":  # u[e] = -(a.e), t[e] = M[a][e]
-                lefts = [[-x for x in pair[a]] for a in n]
-            else:  # u[e] = (a.beta)(d.e) - (d.beta)(a.e), t[e] = T[a][d][e]
-                lefts = [[xb[a] * p - xb[d] * q for p, q in zip(pair[d], pair[a])] for a in n for d in n]
-                x2 = [factor(("x2", d)) for d in n]
-                rights = [list(map(mul, f, y)) for f in rights for y in x2]
-            x1 = [factor(("x1", e)) for e in n]
-            tables = self._factors[name,] = lefts, [[sum(map(mul, f, x)) for x in x1] for f in rights]
+            n, pair, xb, x1, x2 = range(len(self.divisors)), self.pair, self.on_beta, self.x1, self.x2
+            if name == "R1":  # U[a][b] = a.b, T[a][b] = F_a . x2_b
+                w, d1 = self.weights, self.deltas
+                factors = [r1_factors(self.delta - 3, zip(w, d1, x1[a], x2[a])) for a in n]
+                lefts, columns = pair, x2
+            else:
+                c = _binomials(self.delta - RELATIONS[name][1], 0).get
+                wc = [w * c(d1, 0) for w, d1 in zip(self.weights, self.deltas)]
+                factors, columns = [list(map(mul, wc, x1[a])) for a in n], x1
+                if name == "R2":  # U[a][e] = -(a.e), T[a][e] = F_a . x1_e
+                    lefts = [[-x for x in pair[a]] for a in n]
+                else:  # U[a n + d][e] = (a.beta)(d.e) - (d.beta)(a.e), T[a n + d][e] = F_a x2_d . x1_e
+                    lefts = [[xb[a] * p - xb[d] * q for p, q in zip(pair[d], pair[a])] for a in n for d in n]
+                    factors = [list(map(mul, f, y)) for f in factors for y in x2]
+            tables = self._built[name] = lefts, [[sum(map(mul, f, x)) for x in columns] for f in factors]
         return tables
 
     def relations(self, name: str, tuples, every=False) -> list[WDVVRelation]:
         """Relation `name` on each insertion tuple of `tuples`, in order, but for the tuples that
         read 0 = 0 unless `every`."""
-        found, pair, xb, pick = [], self.pair, self.on_beta, self.divisors.__getitem__
-        if name == "R1":  # insertions (pt, pt, A, B)
-            factor = self._factor
-            for ins in tuples:
-                a, b = ins
-                lhs, rhs = pair[a][b], sum(map(mul, factor(("R1", a)), factor(("x2", b))))
-                if every or lhs or rhs:
-                    found.append(WDVVRelation(name, tuple(map(pick, ins)), lhs, rhs))
-            return found
+        found, xb, pick = [], self.on_beta, self.divisors.__getitem__
         (lefts, rights), n = self._tables(name), len(xb)
         for ins in tuples:
-            if name == "R3":  # insertions (A, B, C, D)
-                a, b, c, d = ins
-                r = a * n + d
-            else:  # insertions (A, B, C, pt)
-                r, b, c = ins
-            u = lefts[r]  # one assignment each: a tuple of four would be built and unpacked
-            t = rights[r]
-            xbb = xb[b]
-            xc = xb[c]
-            lhs = xbb * u[c] - xc * u[b]
-            rhs = xbb * t[c] - xc * t[b]
+            if name == "R1":  # insertions (pt, pt, A, B)
+                a, b = ins
+                lhs = lefts[a][b]
+                rhs = rights[a][b]
+            else:
+                if name == "R3":  # insertions (A, B, C, D)
+                    a, b, c, d = ins
+                    r = a * n + d
+                else:  # insertions (A, B, C, pt)
+                    r, b, c = ins
+                u = lefts[r]  # one assignment each: a tuple of four would be built and unpacked
+                t = rights[r]
+                xbb = xb[b]
+                xc = xb[c]
+                lhs = xbb * u[c] - xc * u[b]
+                rhs = xbb * t[c] - xc * t[b]
             if every or lhs or rhs:
                 found.append(WDVVRelation(name, tuple(map(pick, ins)), lhs, rhs))
         return found
@@ -480,12 +459,11 @@ class GWEngine:
         pairs.sort(key=lambda p: (p[0].d, p[0].m))
         return tuple(pairs)
 
-    def _orbit_data(self, beta: DivisorClass, orbits=None) -> dict:
-        """The weights `_rows` merges over the orbit rows `orbits` of beta, by default every orbit
-        of `_orbit_rows(beta)`, run by `_run`.
+    def _orbit_data(self, beta: DivisorClass) -> dict:
+        """The weights `_rows` merges over every orbit of `_orbit_rows(beta)`, run by `_run`.
 
         The cusp boundary sum of `cusp.c_beta` reads every orbit, E_i orbits included."""
-        return self._run(self._rows(beta, self._orbit_rows(beta) if orbits is None else orbits))
+        return self._run(self._rows(beta, self._orbit_rows(beta)))
 
     def _rows(self, beta: DivisorClass, orbits):
         """Task of `_run` that returns the splitting weights {(d1, delta(beta1)): w} of the orbit rows
@@ -637,7 +615,9 @@ class GWEngine:
         is summed straight off the weights, with no evaluator: the factor of L
         (`r1_factors`, x1 = d1, x2 = d - d1) times -K.beta2 = delta - delta1,
         which is folded into the weight.  At delta 1 and 2 the weights hold
-        every orbit, and an evaluator on (L, -K) reads them.
+        every orbit, and each is one row, of projection (d1, delta1 + 1), of an
+        evaluator on (L, -K), which builds the tables of R2, then of R3 if need
+        be, each on 2 divisors, and reads the tuples off them in order.
         Domain there: reduced keys (`reduced_form`), neither seeds nor
         `quick_vanishing`; d >= m_1 + m_2 + m_3 >= 3 m_4 and k <= 8 give
         3d - 3 <= sum(m) <= 8d/3, so d <= 9.  Of the blown-down keys, every

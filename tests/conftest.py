@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from dpcount import verify
 from dpcount.gw import GWEngine
 
 
@@ -7,3 +10,28 @@ from dpcount.gw import GWEngine
 def engine():
     """Shared memoized engine; every operation on it is idempotent."""
     return GWEngine()
+
+
+class RecordingEngine(GWEngine):
+    """An engine that keeps every report its `consistency_check` returns."""
+
+    def __init__(self):
+        super().__init__()
+        self.reports = []
+
+    def consistency_check(self, beta):
+        report = super().consistency_check(beta)
+        self.reports.append(report)
+        return report
+
+
+@pytest.fixture(scope="session")
+def default_consistency_draw():
+    """`verify --suite consistency` on its default draw (seed 1, 200 classes, k <= 8), run once
+    on a fresh `RecordingEngine`: (that engine, the suite's (ok, lines), the seconds it took).
+
+    Acceptance criterion 6 reads its verdict and time, and test_pinned.py the digest of its reports."""
+    engine = RecordingEngine()
+    start = time.time()
+    result = verify.consistency_suite(engine)
+    return engine, result, time.time() - start

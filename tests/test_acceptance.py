@@ -5,7 +5,6 @@ lines and timings.
 """
 
 import os
-import random
 import subprocess
 import sys
 import time
@@ -20,7 +19,6 @@ from dpcount.verify import (
     blowup_suite,
     consistency_suite,
     cremona_suite,
-    random_classes,
     symmetry_suite,
 )
 from oracles import count_minus_one_classes, plane_count
@@ -83,16 +81,15 @@ def test_criterion_6_consistency_fuzz(engine):
     report("6 (cross-relation consistency, 200 classes)", ok, time.time() - t0, 120.0)
 
 
-def test_criterion_6_consistency_fuzz_large_k(engine):
-    # seed 1, the draw of `verify --suite consistency`: its 200 classes include every
-    # k = 5..8 (seed 0 draws no k = 8 class); test_pinned.py also pins the digest of its reports
-    sample = random_classes(random.Random(1), 200, k_max=8, delta_max=10, engine=engine)
-    assert {beta.k for beta in sample} >= {5, 6, 7, 8}
-    t0 = time.time()
-    ok, lines = consistency_suite(engine, samples=200, seed=1, k_max=8, delta_max=10)
+def test_criterion_6_consistency_fuzz_large_k(default_consistency_draw):
+    # seed 1, the draw of `verify --suite consistency`: its 200 classes, one report each,
+    # include every k = 5..8 (seed 0 draws no k = 8 class); the session fixture runs the
+    # draw once, and test_pinned.py pins the digest of the same reports
+    engine, (ok, lines), elapsed = default_consistency_draw
+    assert {r.beta.k for r in engine.reports} >= {5, 6, 7, 8}
     for line in lines:
         print(line)
-    report("6 (cross-relation consistency, 200 classes, k <= 8)", ok, time.time() - t0, 120.0)
+    report("6 (cross-relation consistency, 200 classes, k <= 8)", ok, elapsed, 120.0)
 
 
 def test_criterion_7_integrality_sweep(engine):

@@ -491,7 +491,7 @@ class TestR1Insertions:
     @staticmethod
     def d1_weights(engine, beta):
         """The weights of the orbits with d1 >= 1 that `n_beta` passes to `_orbit_relation` at delta >= 3."""
-        return engine._orbit_data(beta, _viable_multiplicities(beta.m, beta.d))
+        return engine._run(engine._rows(beta, _viable_multiplicities(beta.m, beta.d)))
 
     def test_the_e_i_orbits_add_nothing_once_l_is_inserted(self, engine):
         # an E_i orbit adds w at (d1, delta1) = (0, 0), for the half E_i, both of whose
@@ -1104,6 +1104,42 @@ class TestFactorisedSums:
         engine, beta = lhs_zero_poisoned_engine()
         relations = self.same_relations(engine, beta)
         assert relations and all(lhs == 0 != rhs for _, _, lhs, rhs in relations)
+
+
+class TestEvaluatorRows:
+    """`RelationEvaluator` is linear in its rows, so it needs no merge of rows of equal projection."""
+
+    @staticmethod
+    def split(rows):
+        """Each row of weight w as two rows of the same projection, of weights w - 1 and 1, in reverse order."""
+        return [(p, part, d1) for p, w, d1 in rows for part in (w - 1, 1)][::-1]
+
+    @pytest.mark.parametrize("literal", ["5;2,2,2,1,1", "7;3,2,2,2,2,2,2,2", "6;2,2,2,2,2,2,2,2"])
+    def test_split_rows_give_every_basis_relation(self, literal):
+        engine, beta = GWEngine(), parse_class_literal(literal)
+        basis, _ = gw._basis(beta.k)
+        rows = engine._splitting_data(beta)
+        whole, split = RelationEvaluator(beta, basis, rows), RelationEvaluator(beta, basis, self.split(rows))
+        checked = []
+        for name, (arity, low) in RELATIONS.items():
+            if whole.delta >= low:
+                tuples = list(product(range(len(basis)), repeat=arity))
+                assert split.relations(name, tuples) == whole.relations(name, tuples), (literal, name)
+                checked += whole.relations(name, tuples)
+        assert checked == engine.consistency_check(beta).relations
+        assert any(r.lhs_coeff for r in checked)
+
+    def test_split_rows_give_the_low_delta_solve(self):
+        # the relation `_orbit_relation` picks on (L, -K) for 6;2^8, over its weights split as above
+        engine, beta = GWEngine(), parse_class_literal("6;2,2,2,2,2,2,2,2")
+        surface = SurfaceModel(8)
+        divisors = (surface.line(), surface.anticanonical())
+        weights = engine._orbit_data(beta)
+        relation = engine._orbit_relation(beta, weights)
+        rows = [((d1, delta1 + 1), w, delta1) for (d1, delta1), w in weights.items()]
+        ins = tuple(map(divisors.index, relation.divisors))
+        assert RelationEvaluator(beta, divisors, self.split(rows)).relation(relation.name, ins) == relation
+        assert relation.solve() == 90
 
 
 class TestDivisorPool:

@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from dpcount import cli, verify
+from dpcount import cli
 from dpcount.cusp import c_beta
 from dpcount.gw import GWEngine, InconsistentRelationError
 from dpcount.lattice import DivisorClass, delta, parse_class_literal
@@ -65,20 +65,7 @@ def test_c_digest_over_every_canonical_class(pinned_engine):
     assert digest(lines) == "619af7d8fb0a83e01be77a3c2b3b23f5fc8ff1d4a8a483189292b5be1c15569e"
 
 
-class RecordingEngine(GWEngine):
-    """An engine that keeps every report its `consistency_check` returns."""
-
-    def __init__(self):
-        super().__init__()
-        self.reports = []
-
-    def consistency_check(self, beta):
-        report = super().consistency_check(beta)
-        self.reports.append(report)
-        return report
-
-
-def test_consistency_digest_over_the_default_draw():
+def test_consistency_digest_over_the_default_draw(default_consistency_draw):
     """Every report of `verify --suite consistency` on its default draw (seed 1, 200 classes,
     k <= 8), in order: beta, the value, and each relation's name, divisors, lhs and rhs.
 
@@ -87,8 +74,8 @@ def test_consistency_digest_over_the_default_draw():
     R3 were read off per-class tables, so the reports must not change in value,
     number or order.
     """
-    engine = RecordingEngine()
-    assert verify.consistency_suite(engine) == (True, ["consistency: 200 classes, all relations agree"])
+    engine, result, _ = default_consistency_draw
+    assert result == (True, ["consistency: 200 classes, all relations agree"])
     lines = []
     for report in engine.reports:
         lines.append(f"{report.beta}={report.value}\n")
