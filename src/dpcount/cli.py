@@ -1,8 +1,9 @@
 """Command-line front end: single-class queries, table sweeps, verification.
 
 Classes are written `d;m1,...,mk` (k is inferred from the list length, `3;`
-is the plane cubic class).  Exit codes: 0 success, 1 computation failure or
-an unusable cache path, 2 usage error.
+is the plane cubic class; a literal that starts with `-` goes after `--`).
+Exit codes: 0 success, 1 computation failure, an unusable cache path or a
+closed stdout, 2 usage error.
 """
 
 from __future__ import annotations
@@ -66,11 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    cls_help = 'class literal d;m1,...,mk; one that starts with - goes after --, as in: nbeta -- "-1;"'
     p_n = sub.add_parser("nbeta", help="count of rational curves in a class")
-    p_n.add_argument("cls", help="class literal d;m1,...,mk")
+    p_n.add_argument("cls", help=cls_help)
 
     p_c = sub.add_parser("cbeta", help="count of rational cuspidal curves in a class")
-    p_c.add_argument("cls", help="class literal d;m1,...,mk")
+    p_c.add_argument("cls", help=cls_help)
 
     p_t = sub.add_parser("table", help="sweep classes and emit one row per class")
     p_t.add_argument("--k", type=int, required=True)
@@ -202,9 +204,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         code = _COMMANDS[args.command](engine, args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
     except (ValueError, UnderdeterminedError, InconsistentRelationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader closed stdout (`| head`): what is left goes to os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
 
     if cache_path and engine.memo_size > known:  # a pure hit leaves the file as it is
         try:

@@ -124,7 +124,7 @@ _LINE_AND_ANTICANONICAL = tuple((DivisorClass(1, (0,) * k), DivisorClass(3, (1,)
 @lru_cache(maxsize=None)
 def _basis(k: int) -> tuple:
     """The basis L, E_1, ..., E_k of the k-point blow-up and its x.y table, diag(1, -1, ..., -1):
-    the insertions of `GWEngine.consistency_check`, built once per k on first use."""
+    the insertions of `GWEngine.consistency_check` and `relations_hold`, built once per k on first use."""
     surface = SurfaceModel(k)
     basis = (surface.line(), *(surface.exceptional(i) for i in range(k)))
     return basis, tuple(tuple(intersect(x, y) for y in basis) for x in basis)
@@ -309,7 +309,8 @@ class RelationEvaluator:
     rows are U[a n + d][e] = (a.beta)(d.e) - (d.beta)(a.e) and
     T[a n + d][e] = F_a x2_d . x1_e.  So R1 and R2 cost n^2 dot products
     over the rows and R3 n^3, for n divisors.  `relations` sweeps a list of
-    tuples in one loop, and `relation` reads one tuple through it.
+    tuples in one loop, `relation` reads one tuple through it, and `holds`
+    decides a relation on every tuple at once, row by row.
     """
 
     def __init__(self, beta: DivisorClass, divisors, rows=(), pair=None):
@@ -373,6 +374,30 @@ class RelationEvaluator:
 
     def relation(self, name: str, ins: tuple[int, ...]) -> WDVVRelation:
         return self.relations(name, (ins,), every=True)[0]
+
+    def holds(self, name: str, value: int) -> bool:
+        """True when lhs * value = rhs on every insertion tuple of relation `name`, lhs = 0 included,
+        decided off its tables with no relation built.
+
+        R1 holds when value * U = T entry by entry.  On a row (U[r], T[r]) of R2
+        or R3, with D = value * U[r] - T[r], a tuple (b, c) reads
+        value * lhs - rhs = (b.beta) D[c] - (c.beta) D[b], so all of them
+        vanish when D is a multiple of the vector x.beta: D[c] (j.beta) =
+        (c.beta) D[j] for every c, at a j with j.beta != 0 (none when every
+        x.beta is 0, and then every tuple reads 0 = 0).  That is n checks per
+        row, against n^2 tuples."""
+        lefts, rights = self._tables(name)
+        if name == "R1":
+            return all([value * x for x in u] == t for u, t in zip(lefts, rights))
+        xb = self.on_beta
+        j = next((j for j, x in enumerate(xb) if x), 0)
+        xj = xb[j]
+        for u, t in zip(lefts, rights):
+            d = [value * x - y for x, y in zip(u, t)]
+            dj = d[j]
+            if [x * xj for x in d] != [c * dj for c in xb]:
+                return False
+        return True
 
 
 class GWEngine:
@@ -654,14 +679,26 @@ class GWEngine:
         combination of the basis, so when all of these hold, every nondegenerate
         relation on any divisors, `divisor_pool`'s among them, implies the
         engine value.  The report lists the tuples that do not read 0 = 0."""
-        basis, pair = _basis(beta.k)
-        value = self.n_beta(beta)
-        evaluator = RelationEvaluator(beta, basis, self._splitting_data(beta), pair)
+        value, evaluator = self._basis_evaluator(beta)
         report = ConsistencyReport(beta=beta, value=value, relations=[])
+        positions = range(len(evaluator.divisors))
         for name, (arity, low) in RELATIONS.items():
             if evaluator.delta >= low:
-                report.relations.extend(evaluator.relations(name, product(range(len(basis)), repeat=arity)))
+                report.relations.extend(evaluator.relations(name, product(positions, repeat=arity)))
         return report
+
+    def relations_hold(self, beta: DivisorClass) -> bool:
+        """`consistency_check(beta).consistent`, decided off the relation tables
+        (`RelationEvaluator.holds`) with no relation built: for R3, n^3 checks
+        against n^4 tuples, n = k + 1."""
+        value, evaluator = self._basis_evaluator(beta)
+        return all(evaluator.holds(name, value) for name, (_, low) in RELATIONS.items() if evaluator.delta >= low)
+
+    def _basis_evaluator(self, beta: DivisorClass) -> tuple[int, RelationEvaluator]:
+        """N(beta), then the evaluator of its splittings on the basis L, E_1, ..., E_k."""
+        basis, pair = _basis(beta.k)
+        value = self.n_beta(beta)
+        return value, RelationEvaluator(beta, basis, self._splitting_data(beta), pair)
 
     # --------------------------------------------------------------- caching
 

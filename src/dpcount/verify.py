@@ -82,17 +82,19 @@ def consistency_suite(
 ) -> tuple[bool, list[str]]:
     """R1, R2 and R3 must hold at the engine value on every basis tuple, class by class.
 
-    The default draw, seed 1, holds classes of every k = 5..8.
+    The default draw, seed 1, holds classes of every k = 5..8.  `GWEngine.relations_hold`
+    decides each class; only a failing one gets a `consistency_check` report, whose first
+    three disagreements print as FAIL lines.
     """
     rng = random.Random(seed)
     classes = random_classes(rng, samples, k_max=k_max, delta_max=delta_max, engine=engine)
     lines = []
     ok = True
     for beta in classes:
-        report = engine.consistency_check(beta)
-        if report.consistent:
+        if engine.relations_hold(beta):
             continue
         ok = False
+        report = engine.consistency_check(beta)  # for the FAIL lines
         for bad in report.disagreements()[:3]:
             lines.append(
                 f"FAIL {beta}: {bad.name}{tuple(str(x) for x in bad.divisors)} has "

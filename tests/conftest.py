@@ -13,16 +13,19 @@ def engine():
 
 
 class RecordingEngine(GWEngine):
-    """An engine that keeps every report its `consistency_check` returns."""
+    """An engine that keeps a `consistency_check` report for each class its `relations_hold`
+    decides, and asserts that the verdict is the report's."""
 
     def __init__(self):
         super().__init__()
         self.reports = []
 
-    def consistency_check(self, beta):
-        report = super().consistency_check(beta)
+    def relations_hold(self, beta):
+        verdict = super().relations_hold(beta)
+        report = self.consistency_check(beta)
+        assert verdict == report.consistent, str(beta)
         self.reports.append(report)
-        return report
+        return verdict
 
 
 @pytest.fixture(scope="session")

@@ -57,6 +57,11 @@ class TestSingleClassCommands:
         assert main(["--format", "json", "nbeta", "5;"]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 87304
 
+    def test_a_literal_that_starts_with_minus_goes_after_double_dash(self, capsys):
+        # argparse reads "-1;" as an option, so such a literal follows --
+        assert main(["nbeta", "--", "-1;"]) == 0
+        assert capsys.readouterr().out == "N=0\n"
+
     def test_cbeta_warning_goes_to_stderr(self, capsys):
         assert main(["cbeta", "2;"]) == 0
         captured = capsys.readouterr()
@@ -481,3 +486,24 @@ class TestFreshProcess:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: Exceeds the limit (640 digits) for integer string conversion")
         assert not cache.exists()
+
+    def test_a_closed_stdout_exits_one_without_a_traceback(self, tmp_path):
+        # `table --k 6 --dmax 3 | head -1`: the reader takes one line and closes the pipe,
+        # which holds 4,096 bytes, so the rest of the 35,799 bytes of rows meets a closed stdout
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("the pipe size cannot be set here")
+        cache = tmp_path / "cache.tsv"
+        env = {**self.ENV, "PYTHONPATH": self.PACKAGE_ROOT}
+        argv = ["-m", "dpcount", "--cache-path", str(cache), "table", "--k", "6", "--dmax", "3"]
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen([sys.executable, *argv], stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as out:
+            first = out.readline()
+        stderr = proc.communicate(timeout=300)[1].decode()
+        assert first == b"6\t1;0,0,0,0,0,0\t1\t0\tfalse\n"
+        assert proc.returncode == 1
+        assert "Traceback" not in stderr and "Error" not in stderr
+        assert cache.exists()  # the values computed are kept

@@ -276,6 +276,22 @@ def lhs_zero_poisoned_engine():
     return engine, beta
 
 
+def pivot_poisoned_engine():
+    """An engine whose only splitting of 0;-1,-1 = E_1 + E_2 is (2E_1 - E_2) + (2E_2 - E_1), with N = 1
+    for both halves, which vanish.
+
+    L.beta = 0 there, and every half has degree 0, so each R3 table row D reads D[L] = 0 at the
+    engine value N = 0: a verdict that tested D against x.beta at the pivot L would pass, while
+    the relations on the E_i fail."""
+    engine = GWEngine()
+    beta = DivisorClass(0, (-1, -1))
+    rows = (((0, (-2, 1)), (0, (1, -2)), 1, False),)
+    engine._orbit_rows = lambda b: rows if b == beta else GWEngine._orbit_rows(engine, b)
+    for half in rows[0][:2]:
+        engine._memo[blown_down_key(*half)] = 1
+    return engine, beta
+
+
 @pytest.fixture
 def orbit_row_calls(monkeypatch):
     """The classes, as literals, whose rows `GWEngine._orbit_rows` lists, once per call."""
@@ -1001,6 +1017,7 @@ class TestConsistencyMutations:
         engine._memo[memo_key(blown_down_form(beta))] += 1
         report = engine.consistency_check(beta)
         assert not report.consistent
+        assert not engine.relations_hold(beta)
         # the value enters as lhs * N, so only lhs != 0 tuples can see it
         assert all(r.lhs_coeff != 0 for r in report.disagreements())
 
@@ -1011,15 +1028,31 @@ class TestConsistencyMutations:
         beta, half = DivisorClass(4, (1, 1)), DivisorClass(2, (1, 0))
         assert any(b1 == half for b1, _ in engine.splittings(beta))
         assert engine.consistency_check(beta).consistent
+        assert engine.relations_hold(beta)
         engine._memo[memo_key(blown_down_form(half))] += 1
         assert not engine.consistency_check(beta).consistent
+        assert not engine.relations_hold(beta)
 
     def test_lhs_zero_tuple_alone_catches_a_poisoned_splitting(self):
         engine, beta = lhs_zero_poisoned_engine()
         report = engine.consistency_check(beta)
         assert not report.consistent
+        assert not engine.relations_hold(beta)
         assert report.relations and all(r.lhs_coeff == 0 for r in report.relations)
         assert report.disagreements() == report.relations
+
+    def test_a_class_with_l_dot_beta_zero(self):
+        # 0;-1,-1 (delta 1): its relations hold at N = 0, some with lhs != 0, so a wrong value
+        # fails them; with a poisoned splitting only a pivot off L sees the failure
+        engine, beta = GWEngine(), DivisorClass(0, (-1, -1))
+        report = engine.consistency_check(beta)
+        assert (report.value, report.consistent, engine.relations_hold(beta)) == (0, True, True)
+        assert any(r.lhs_coeff for r in report.relations)
+        engine._memo[memo_key(beta)] = 1
+        assert (engine.consistency_check(beta).consistent, engine.relations_hold(beta)) == (False, False)
+        engine, beta = pivot_poisoned_engine()
+        report = engine.consistency_check(beta)
+        assert (report.value, report.consistent, engine.relations_hold(beta)) == (0, False, False)
 
     def test_suite_fail_line_prints_both_sides(self, monkeypatch):
         engine, beta = lhs_zero_poisoned_engine()
@@ -1059,6 +1092,45 @@ class TestConsistencyMutations:
         assert report.relations == unmirrored
         assert report.disagreements() == [r for r in unmirrored if r.lhs_coeff * report.value != r.rhs]
         assert report.disagreements()
+        assert not engine.relations_hold(beta)
+
+
+class TestRelationsHold:
+    """`RelationEvaluator.holds` gives the verdict of every tuple its tables list."""
+
+    @staticmethod
+    def verdict(evaluator, name, value):
+        tuples = product(range(len(evaluator.divisors)), repeat=RELATIONS[name][0])
+        return all(r.lhs_coeff * value == r.rhs for r in evaluator.relations(name, tuples))
+
+    def test_wrong_values_on_seed_0_classes(self):
+        engine = GWEngine()
+        classes = verify.random_classes(random.Random(0), 20, k_max=4, delta_max=10, engine=engine)
+        checked = 0
+        for beta in classes:
+            value, evaluator = engine._basis_evaluator(beta)
+            for name, (_, low) in RELATIONS.items():
+                if evaluator.delta >= low:
+                    for v in (value - 1, value, value + 1):
+                        assert evaluator.holds(name, v) == self.verdict(evaluator, name, v), (str(beta), name, v)
+                        checked += 1
+        assert checked
+
+    def test_one_wrong_entry_in_any_table_row_fails(self):
+        # 4;1,1 (delta 9) admits every relation, and no x.beta = (4, 1, 1) is 0, so a
+        # changed entry of T on any row r leaves D = value * U[r] - T[r] off the line of x.beta
+        engine, beta = GWEngine(), DivisorClass(4, (1, 1))
+        value, evaluator = engine._basis_evaluator(beta)
+        for name in RELATIONS:
+            lefts, rights = evaluator._tables(name)
+            assert evaluator.holds(name, value)
+            for r, row in enumerate(rights):
+                changed = [list(t) for t in rights]
+                changed[r][r % len(row)] += 1
+                evaluator._built[name] = lefts, changed
+                assert not evaluator.holds(name, value), (name, r)
+                assert not self.verdict(evaluator, name, value), (name, r)
+            evaluator._built[name] = lefts, rights
 
 
 class TestFactorisedSums:
