@@ -59,12 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"persistent count cache (default: ${CACHE_ENV_VAR} if set)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored; sweeps run sequentially",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     cls_help = 'class literal d;m1,...,mk; one that starts with - goes after --, as in: nbeta -- "-1;"'

@@ -2,8 +2,10 @@
 
 For a class beta with all m_i >= 0 the cuspidal count is a first term
 proportional to N_beta plus a sum over ordered splittings beta1 + beta2 =
-beta.  Both pieces can be fractional on their own; the total is always an
-integer and is asserted to be one before it is returned.
+beta.  With deg = delta(beta) + 1 the anticanonical degree, every term is an
+integer over 2 deg, so the boundary terms are added as integers and divided once.
+Both pieces can be fractional on their own; the total is always an integer
+and is asserted to be one before it is returned.
 
 `fractions` (and the `decimal` it imports) loads on the first cuspidal
 count, `c_beta` or `splitting_term`, not with the package: a process that
@@ -37,13 +39,14 @@ class CuspResult(NamedTuple):
     warnings: list[str]
 
 
-def _boundary_factor(db: int, d1: int) -> Fraction:
-    """C(D-1, d1) * (deg1 * deg2 / (2 deg) - 1): a splitting's term over N1 * N2 * (beta1.beta2).
+def _boundary_factor(db: int, d1: int) -> int:
+    """C(D-1, d1) * (deg1 * deg2 - 2 deg): a splitting's term over N1 * N2 * (beta1.beta2), times 2 deg.
 
     D = delta(beta) and d1 = delta(beta1); the anticanonical degrees are
     deg = D + 1, deg1 = d1 + 1 and deg2 = D - d1, as delta1 + delta2 = D - 1.
+    The paper's factor C(D-1, d1) * (deg1 * deg2 / (2 deg) - 1) is this integer over 2 deg.
     """
-    return comb0(db - 1, d1) * (Fraction((d1 + 1) * (db - d1), 2 * (db + 1)) - 1)
+    return comb0(db - 1, d1) * ((d1 + 1) * (db - d1) - 2 * (db + 1))
 
 
 def splitting_term(
@@ -52,7 +55,8 @@ def splitting_term(
     """Contribution of one ordered splitting beta1 + beta2 = beta, with N read through `n_beta`.
 
     `c_beta` sums the same terms over the splitting orbit rows; this is
-    the term of one pair, for reference sums over `GWEngine.splittings`."""
+    the term of one pair, weight * `_boundary_factor` over 2 deg, for
+    reference sums over `GWEngine.splittings`."""
     if Fraction is None:
         _import_fraction()
     if beta1 + beta2 != beta:
@@ -60,17 +64,18 @@ def splitting_term(
     if beta1.is_zero() or beta2.is_zero():
         raise ValueError("splitting halves must be nonzero")
     weight = engine.n_beta(beta1) * engine.n_beta(beta2) * intersect(beta1, beta2)
-    return weight * _boundary_factor(delta(beta), delta(beta1))
+    return Fraction(weight * _boundary_factor(delta(beta), delta(beta1)), 2 * beta.anticanonical_degree())
 
 
 def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     """Number of rational beta-curves through delta(beta) - 1 points with a cusp.
 
     The first term is ((3 + k) - (9 - k) / deg) * N(beta), with deg = delta + 1
-    the anticanonical degree, so deg >= 2 on this domain.  The boundary term
-    is the sum of `splitting_term` over the ordered splittings, taken over
-    the splitting orbit rows, one Fraction per distinct delta(beta1).  Both
-    stay Fractions; their sum must be an integer, or the count raises."""
+    the anticanonical degree, so deg >= 2 on this domain: one Fraction over
+    deg.  The boundary term is the sum of `splitting_term` over the ordered
+    splittings, taken over the splitting orbit rows as one integer sum of
+    weight * `_boundary_factor`, divided once by 2 deg.  Both stay Fractions;
+    their sum must be an integer, or the count raises."""
     if any(mi < 0 for mi in beta.m):
         raise ValueError(f"class {beta} has a negative multiplicity; all m_i >= 0 required")
     db = delta(beta)
@@ -79,12 +84,12 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     n = engine.n_beta(beta)
     if Fraction is None:
         _import_fraction()
-    ft = (Fraction(3 + beta.k) - Fraction(9 - beta.k, db + 1)) * n
+    ft = Fraction(((3 + beta.k) * (db + 1) - (9 - beta.k)) * n, db + 1)
     # the boundary sum is the same for every permutation of beta, so it is
     # kept per canonical class.  It reads the weights of every splitting
     # orbit, `GWEngine._orbit_data`: {(d1, delta1): sum of size * N1 * N2 * (beta1.beta2)},
-    # a swapped orbit adding at its own half, and folds them by delta1, as a
-    # term depends on delta1 alone.
+    # a swapped orbit adding at its own half.  Each weight adds the integer
+    # w * `_boundary_factor(db, delta1)`, and the sum is divided by 2 deg once.
     # It is not keyed by the Weyl-reduced class, as N is: the formula is not
     # invariant at the domain edge, where a class such as 2;2,2 reduces to
     # one with a negative m_i, so a reduced key would change which table
@@ -92,11 +97,8 @@ def c_beta(engine: GWEngine, beta: DivisorClass) -> CuspResult:
     key = canonical_form(beta)
     bt = engine.cusp_boundary.get(key)
     if bt is None:
-        weights: dict[int, int] = {}
-        for (_, d1), w in engine._orbit_data(key).items():
-            weights[d1] = weights.get(d1, 0) + w
-        bt = sum((w * _boundary_factor(db, d1) for d1, w in weights.items()), Fraction(0))
-        engine.cusp_boundary[key] = bt
+        terms = (w * _boundary_factor(db, d1) for (_, d1), w in engine._orbit_data(key).items())
+        bt = engine.cusp_boundary[key] = Fraction(sum(terms), 2 * (db + 1))
     total = ft + bt
     if total.denominator != 1:
         raise InconsistentRelationError(

@@ -2,9 +2,12 @@ import hashlib
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -109,7 +112,7 @@ class TestTable:
     def test_degenerate_class_skipped_with_note(self, capsys):
         assert main(["table", "--k", "2", "--dmax", "2"]) == 0
         captured = capsys.readouterr()
-        assert "skipped 2;2,2" in captured.err
+        assert "note: skipped 2;2,2: cuspidal count for 2;2,2 is not an integer: 3/4\n" in captured.err
         assert "2;2,2" not in captured.out
 
     @pytest.mark.parametrize("k", ["-1", "9"])
@@ -137,12 +140,6 @@ class TestTable:
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [f"{k}\t{cls}\t1\t0\tfalse" for cls in literals]
         assert captured.err == ""
-
-    def test_jobs_do_not_change_output(self, capsys):
-        assert main(["--jobs", "1", "table", "--k", "2", "--dmax", "3"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["--jobs", "8", "table", "--k", "2", "--dmax", "3"]) == 0
-        assert capsys.readouterr().out == serial
 
     def test_cache_does_not_change_output(self, capsys, tmp_path):
         assert main(["table", "--k", "1", "--dmax", "4"]) == 0
@@ -396,12 +393,38 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
+class TestReadmeExamples:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_examples_print_what_their_comments_say(self, capsys):
+        # every README example whose comment is an exact output: the CLI lines through
+        # `cli.main`, and the Library block run as written, one printed line per `# value`
+        text = self.README.read_text(encoding="utf-8")
+        cli_examples = re.findall(r"^dpcount (.+?) +# ([NC]=.*)$", text, re.M)
+        cli_examples += re.findall(r"`dpcount (.+?)` \(([NC]=\S+)\)", text)
+        assert [args for args, _ in cli_examples] == ['nbeta "3;1"', 'cbeta "4;"', 'nbeta -- "-1;"']
+        for args, expected in cli_examples:
+            assert main(shlex.split(args)) == 0, args
+            assert capsys.readouterr().out == f"{expected}\n", args
+        library = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        expected = re.findall(r"^print\(.*# (\S+)$", library, re.M)
+        assert expected == ["620", "2304"]
+        exec(library, {})
+        assert capsys.readouterr().out.splitlines() == expected
+
+
 class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["nbeta", "3;"])
         assert args.format == "tsv"
-        assert args.jobs == 1
         assert args.cache_path is None
+
+    def test_jobs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "8", "nbeta", "3;"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: dpcount")
 
     def test_build_parser_returns_a_new_parser_each_call(self):
         assert build_parser() is not build_parser()

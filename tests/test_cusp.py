@@ -4,8 +4,8 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from dpcount.cusp import CuspResult, c_beta, splitting_term
-from dpcount.gw import ConsistencyReport, GWEngine, InconsistentRelationError, WDVVRelation
+from dpcount.cusp import CuspResult, _boundary_factor, c_beta, splitting_term
+from dpcount.gw import ConsistencyReport, GWEngine, InconsistentRelationError, WDVVRelation, comb0
 from dpcount.lattice import DivisorClass, arithmetic_genus, delta, parse_class_literal
 from dpcount import verify
 from oracles import plane_cusp_count
@@ -54,6 +54,23 @@ class TestSplittingTerm:
 
     def test_conic(self, engine):
         assert splitting_term(engine, P(2), P(1), P(1)) == Fraction(-3, 2)
+
+    def test_integer_factor_is_2_deg_times_the_papers_factor(self):
+        # the paper's C(delta-1, delta1) * (deg1 * deg2 / (2 deg) - 1), deg = delta + 1,
+        # deg1 = delta1 + 1, deg2 = delta - delta1; the pinned C digest reaches delta <= 17
+        for db in range(1, 41):
+            for d1 in range(-1, db + 2):
+                paper = comb0(db - 1, d1) * (Fraction((d1 + 1) * (db - d1), 2 * (db + 1)) - 1)
+                factor = _boundary_factor(db, d1)
+                assert type(factor) is int and factor == 2 * (db + 1) * paper, (db, d1)
+
+    def test_terms_stay_fractions(self):
+        engine = GWEngine()
+        beta = DivisorClass(4, (1, 1))
+        result = c_beta(engine, beta)
+        assert type(result.first_term) is type(result.boundary_term) is Fraction
+        assert [type(value) for value in engine.cusp_boundary.values()] == [Fraction]
+        assert type(splitting_term(engine, P(4), P(2), P(2))) is Fraction
 
     def test_rejects_non_splitting(self, engine):
         with pytest.raises(ValueError):
