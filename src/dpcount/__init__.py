@@ -11,7 +11,6 @@ from .gw import (
     ConsistencyReport,
     GWEngine,
     InconsistentRelationError,
-    UnderdeterminedError,
     WDVVRelation,
     divisor_pool,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "InconsistentRelationError",
     "MAX_BLOWUPS",
     "SurfaceModel",
-    "UnderdeterminedError",
     "WDVVRelation",
     "arithmetic_genus",
     "c_beta",

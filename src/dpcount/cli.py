@@ -20,7 +20,6 @@ from .gw import (
     CACHE_ENV_VAR,
     GWEngine,
     InconsistentRelationError,
-    UnderdeterminedError,
     seed_classes,
 )
 from .lattice import (
@@ -199,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = _COMMANDS[args.command](engine, args)
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit
-    except (ValueError, UnderdeterminedError, InconsistentRelationError) as exc:
+    except (ValueError, InconsistentRelationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # the reader closed stdout (`| head`): what is left goes to os.devnull

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from collections.abc import Mapping
 from contextlib import suppress
 from functools import lru_cache
@@ -38,10 +37,6 @@ if TYPE_CHECKING:  # the annotation alone: `cusp` imports fractions on its first
 
 CACHE_ENV_VAR = "DPCOUNT_CACHE"
 CACHE_VERSION = "v1"
-
-
-class UnderdeterminedError(RuntimeError):
-    """Every relation on the probe divisors degenerated for a class."""
 
 
 class InconsistentRelationError(RuntimeError):
@@ -288,7 +283,7 @@ class RelationEvaluator:
     size; `project` builds them from halves.  Both sides are linear in the
     rows, so rows may be split or reordered freely.
 
-    `__init__` builds x.y (`pair`, which `consistency_check` passes from
+    `__init__` builds x.y (`pair`, which `_basis_evaluator` passes from
     `_basis`), x.beta and the columns of the rows once: w, delta(beta1) and,
     per divisor, x1 and x2.  The factor F_a of insertion a is
     w (C(D-3, d1-1) x1_a - C(D-3, d1-2) x2_a) for R1 (`r1_factors`),
@@ -412,8 +407,9 @@ class GWEngine:
     weights of its splitting orbits, which `_rows` merges per (d1, delta1) as
     it scans them (`_orbit_relation`): R1 at delta >= 3, summed straight off
     the weights, where the E_i orbits add nothing, so that solve reads N of
-    halves of lower degree only, never of beta - E_i; R2 or R3 at delta 1
-    or 2.  No orbit rows are kept: `_orbit_rows` lists them on every call.
+    halves of lower degree only, never of beta - E_i; R2(L, L, -K) at delta 2
+    and R3(L, L, -K, -K) at delta 1.  No orbit rows are kept: `_orbit_rows`
+    lists them on every call.
     The memo, `_half_n` and the cusp boundary sums that `cusp.c_beta` keeps,
     per canonical class, in `cusp_boundary`, are insert-only maps.
     """
@@ -623,11 +619,10 @@ class GWEngine:
 
     def _orbit_relation(self, beta: DivisorClass, weights) -> WDVVRelation:
         """The relation that solves a key on the insertions L and -K, over the weights `_rows`
-        merged from its orbits.
+        merged from its orbits: R1(L, -K) at delta >= 3, R2(L, L, -K) at delta 2 and
+        R3(L, L, -K, -K) at delta 1.
 
-        R1(L, -K) at delta >= 3; at delta 2 the first R2 tuple of (L, -K)
-        with a nonzero lhs, then R3; at delta 1 the first such R3 tuple.  L and
-        -K are fixed by every permutation of the m_i, so the sum runs over
+        L and -K are fixed by every permutation of the m_i, so the sum runs over
         stabiliser orbits, and a row enters only through its projection
         (L.beta1, -K.beta1) = (d1, delta(beta1) + 1), so through its key in
         `weights`.
@@ -635,22 +630,22 @@ class GWEngine:
         At delta >= 3, `weights` may leave out the E_i orbits: delta(E_i) = 0
         zeroes both weights of its row, and its swap's term carries the factor
         L.E_i = 0, so N(beta - E_i) is never read.  The lhs is L.(-K) = 3 at
-        every k, so R1(L, -K) is taken without a search, and the division
-        still checks the rhs; R1(L, L), of lhs 1, would check nothing.  Its rhs
-        is summed straight off the weights, with no evaluator: the factor of L
-        (`r1_factors`, x1 = d1, x2 = d - d1) times -K.beta2 = delta - delta1,
-        which is folded into the weight.  At delta 1 and 2 the weights hold
-        every orbit, and each is one row, of projection (d1, delta1 + 1), of an
-        evaluator on (L, -K), which builds the tables of R2, then of R3 if need
-        be, each on 2 divisors, and reads the tuples off them in order.
-        Domain there: reduced keys (`reduced_form`), neither seeds nor
-        `quick_vanishing`; d >= m_1 + m_2 + m_3 >= 3 m_4 and k <= 8 give
-        3d - 3 <= sum(m) <= 8d/3, so d <= 9.  Of the blown-down keys, every
-        m_i >= 2, just 6;2^8 (delta 1) and 9;3^8 (delta 2) are met; their
-        m_i are all equal, so L and -K span the divisors their stabiliser
-        fixes, and if any fixed tuple is nondegenerate, one on (L, -K) is.
-        An unreduced class may have none: every fixed R3 tuple on 2;1,1,1,1
-        is degenerate, and `UnderdeterminedError` is raised.
+        every k, and the division still checks the rhs; R1(L, L), of lhs 1,
+        would check nothing.  Its rhs is summed straight off the weights, with
+        no evaluator: the factor of L (`r1_factors`, x1 = d1, x2 = d - d1)
+        times -K.beta2 = delta - delta1, which is folded into the weight.
+
+        At delta 1 and 2 the weights hold every orbit, and each is one row, of
+        projection (d1, delta1 + 1), of an evaluator on (L, -K).  With
+        L.beta = d and -K.beta = delta + 1, the lhs of R2(L, L, -K) is
+        -sum(m), which vanishes only at the line L, a seed; that of
+        R3(L, L, -K, -K) is (delta + 1)^2 - 6 d (delta + 1) + (9 - k) d^2, which
+        at delta 1 vanishes only at 1;1 (a seed) and at the classes of d = 2
+        and k = 4, all `quick_vanishing` but 2;1,1,1,1, which no key is, as it
+        reduces to 1;1,0,0,0.  A zero lhs is refused by `WDVVRelation.solve`.
+        Of the tuples on (L, -K), those with b = c, or with a = d in R3, read
+        0 = 0 whatever the data; in `product` order these two are the first of
+        the rest.
         """
         db, d, divisors = delta(beta), beta.d, _LINE_AND_ANTICANONICAL[beta.k]
         if db >= 3:
@@ -658,16 +653,7 @@ class GWEngine:
             return WDVVRelation("R1", divisors, 3, sum(r1_factors(db - 3, rows)))
         rows = (((d1, delta1 + 1), w, delta1) for (d1, delta1), w in weights.items())
         evaluator = RelationEvaluator(beta, divisors, rows)
-        for name, (arity, low) in RELATIONS.items():
-            if db >= low:  # R2 or R3, as delta < 3
-                for ins in product((0, 1), repeat=arity):
-                    relation = evaluator.relation(name, ins)
-                    if relation.lhs_coeff:
-                        return relation
-        raise UnderdeterminedError(
-            f"no nondegenerate relation on L and -K for {beta} "
-            f"(k={beta.k}, delta={db}); the solve needs a reduced key"
-        )
+        return evaluator.relation("R2", (0, 0, 1)) if db == 2 else evaluator.relation("R3", (0, 0, 1, 1))
 
     # ------------------------------------------------------------ diagnostics
 
@@ -751,27 +737,34 @@ class GWEngine:
         return problems
 
     def save_cache(self, path: str | os.PathLike) -> None:
-        """Atomic write of the memo, one row per key: temp file in the target directory, then rename.
+        """Atomic write of the memo, one row per key: temp file beside the file `path` names, then rename.
 
         The rows of the file on disk whose keys the memo lacks are kept, so
         writers that share a path keep each other's rows; where both hold a
         key the memo's value wins, and corrupted lines are not copied.  When
         the file holds the very bytes that `load_cache` merged from it, every
-        row it holds is in the memo already, so it is not parsed again.
+        row it holds is in the memo already, so it is not parsed again.  A
+        symbolic link at `path` stays one: the rename replaces its resolved
+        target.  The new file keeps the permission bits of the file it
+        replaces, or gets 0o666 less the umask, as `open` creates a file.
         """
         path = os.fspath(path)
-        directory = os.path.dirname(path) or "."
-        disk = GWEngine()
-        with suppress(FileNotFoundError), open(path, "rb") as fh:
+        target = os.path.realpath(path)
+        disk, mode = GWEngine(), None
+        with suppress(FileNotFoundError), open(target, "rb") as fh:
+            mode = os.fstat(fh.fileno()).st_mode & 0o7777
             if fh.read() != self._loaded.get(path):
                 disk.load_cache(path)
         rows = sorted({**disk._memo, **self._memo}.items(), key=lambda row: (len(row[0][1]), row[0]))  # k, d, m
-        fd, tmp = tempfile.mkstemp(prefix=".dpcount-cache-", dir=directory)
+        tmp = os.path.join(os.path.dirname(target), f".dpcount-cache-{os.urandom(8).hex()}")
+        fh = open(tmp, "x", encoding="utf-8")  # a new file: 0o666 less the umask
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            with fh:
+                if mode is not None:
+                    os.chmod(tmp, mode)
                 for (d, m), value in rows:
                     fh.write(f"{CACHE_VERSION}\t{len(m)}\t{d};{','.join(map(str, m))}\t{value}\n")
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             with suppress(OSError):
                 os.unlink(tmp)

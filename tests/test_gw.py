@@ -1,5 +1,7 @@
 import gc
+import os
 import random
+import stat
 import time
 from collections import Counter
 from itertools import combinations_with_replacement, product
@@ -13,7 +15,6 @@ from dpcount.gw import (
     GWEngine,
     InconsistentRelationError,
     RelationEvaluator,
-    UnderdeterminedError,
     WDVVRelation,
     _orbit,
     _viable_multiplicities,
@@ -183,7 +184,7 @@ def pool_solve_low_delta(engine, beta):
         for ins in product(range(len(pool)), repeat=arity):
             if lhs[name](*ins) != 0:
                 return relation(beta, *(pool[i] for i in ins)).solve()
-    raise UnderdeterminedError(f"no nondegenerate relation in the pool for {beta}")
+    raise ValueError(f"no nondegenerate relation in the pool for {beta}")
 
 
 def canonical_with_sum(k, d, total):
@@ -709,7 +710,7 @@ class TestLowDelta:
         # of these keys only two are their own memo key, so only they reach the solve
         own_keys = [str(b) for b in keys if blown_down_key(b.d, b.m) == (b.d, b.m)]
         assert own_keys == ["6;2,2,2,2,2,2,2,2", "9;3,3,3,3,3,3,3,3"]
-        # _orbit_relation raises UnderdeterminedError when no tuple on (L, -K) is nondegenerate
+        # the relation `_orbit_relation` names on (L, -K) refuses a zero lhs in `.solve()`
         assert {str(b): engine._orbit_relation(b, engine._orbit_data(b)).solve() for b in keys} == LOW_DELTA_KEYS
         assert {str(b): pool_solve_low_delta(reference, b) for b in keys} == LOW_DELTA_KEYS
         assert all(engine.n_beta(b) == LOW_DELTA_KEYS[str(b)] for b in keys)
@@ -717,9 +718,32 @@ class TestLowDelta:
     def test_unreduced_class_has_no_invariant_relation(self):
         engine = GWEngine()
         beta = DivisorClass(2, (1, 1, 1, 1))
-        with pytest.raises(UnderdeterminedError, match="2;1,1,1,1"):
-            engine._orbit_relation(beta, engine._orbit_data(beta))
+        relation = engine._orbit_relation(beta, engine._orbit_data(beta))
+        assert relation.lhs_coeff == 0
+        with pytest.raises(ValueError, match="degenerate"):
+            relation.solve()
         assert pool_solve_low_delta(engine, beta) == engine.n_beta(beta) == 1
+
+    def test_named_relations_have_closed_form_lhs(self):
+        # with L.beta = d and -K.beta = delta + 1, the lhs reads no weights; at delta 1 the R3 lhs
+        # vanishes only where 9 - k = (12 d - 4) / d^2, which lies in (0, 1) for d > 12
+        engine, zeros = GWEngine(), []
+        for k in range(9):
+            surface = SurfaceModel(k)
+            line, minus_k = surface.line(), surface.anticanonical()
+            named = {1: ("R3", (line, line, minus_k, minus_k)), 2: ("R2", (line, line, minus_k))}
+            for d, db in product(range(1, 13), (1, 2)):
+                total = 3 * d - db - 1
+                for m in canonical_with_sum(k, total, total):
+                    beta = DivisorClass(d, m)
+                    lhs = -sum(m) if db == 2 else (db + 1) ** 2 - 6 * d * (db + 1) + (9 - k) * d * d
+                    assert engine._orbit_relation(beta, {})[:3] == (*named[db], lhs), beta
+                    if not lhs:
+                        zeros.append(beta)
+        lines = [str(DivisorClass(1, (0,) * k)) for k in range(9)]  # L at delta 2, by k
+        conics = ["2;4,0,0,0", "2;3,1,0,0", "2;2,2,0,0", "2;2,1,1,0", "2;1,1,1,1"]  # d = 2, k = 4, delta 1
+        assert sorted(map(str, zeros)) == sorted([*lines, "1;1", *conics])
+        assert all(gw._base_value(b.d, b.m) is not None or reduced_form(b) != b for b in zeros)
 
     @pytest.mark.parametrize(
         "literal, name, insertions, lhs, value",
@@ -1368,6 +1392,42 @@ class TestCache:
         eng.n_beta(P(3))
         eng.save_cache(path)
         assert [p.name for p in tmp_path.iterdir()] == ["cache.tsv"]
+
+    def test_a_symlinked_path_stays_a_link_to_the_rewritten_file(self, tmp_path):
+        real, link = tmp_path / "real.tsv", tmp_path / "link.tsv"
+        real.write_text("")
+        link.symlink_to(real)
+        eng = GWEngine()
+        eng.n_beta(P(4))
+        eng.save_cache(link)
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        reader = GWEngine()
+        assert reader.load_cache(real) == []
+        assert reader._memo == eng._memo
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "real.tsv"]
+
+    @pytest.mark.parametrize("mode", [0o644, 0o604], ids=oct)
+    def test_a_rewrite_keeps_the_file_mode(self, tmp_path, mode):
+        path = tmp_path / "cache.tsv"
+        path.write_text("v1\t0\t4;\t620\n")
+        path.chmod(mode)
+        eng = GWEngine()
+        eng.n_beta(P(5))
+        eng.save_cache(path)
+        assert "v1\t0\t5;\t87304" in path.read_text().splitlines()
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=oct)
+    def test_a_new_file_gets_0o666_less_the_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "cache.tsv"
+        eng = GWEngine()
+        eng.n_beta(P(3))
+        previous = os.umask(umask)
+        try:
+            eng.save_cache(path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
     def test_a_failed_write_keeps_the_old_file_and_removes_the_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.tsv"
