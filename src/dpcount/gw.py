@@ -281,7 +281,9 @@ class RelationEvaluator:
     a splitting or orbit seen only through its projection: (x1 for each
     divisor, w, delta(beta1)), with w = N1 N2 (beta1.beta2) times the orbit
     size; `project` builds them from halves.  Both sides are linear in the
-    rows, so rows may be split or reordered freely.
+    rows, so rows may be split or reordered freely.  R3 needs the rows closed
+    under swapping the halves, (x1, w, delta1) <-> (x2, w, D - 1 - delta1):
+    `GWEngine._splitting_data` and the orbit weights are.
 
     `__init__` builds x.y (`pair`, which `_basis_evaluator` passes from
     `_basis`), x.beta and the columns of the rows once: w, delta(beta1) and,
@@ -301,11 +303,21 @@ class RelationEvaluator:
     are U[a][e] = -(a.e) and T[a][e] = F_a . x1_e; and
     R3(a, b, c, d) = (a.b)(c.beta)(d.beta) + (c.d)(a.beta)(b.beta)
     - (a.c)(b.beta)(d.beta) - (b.d)(a.beta)(c.beta) | F_a x2_d . Q_bc, whose
-    rows are U[a n + d][e] = (a.beta)(d.e) - (d.beta)(a.e) and
-    T[a n + d][e] = F_a x2_d . x1_e.  So R1 and R2 cost n^2 dot products
-    over the rows and R3 n^3, for n divisors.  `relations` sweeps a list of
-    tuples in one loop, `relation` reads one tuple through it, and `holds`
-    decides a relation on every tuple at once, row by row.
+    row (a, d) is U[e] = (a.beta)(d.e) - (d.beta)(a.e) and
+    T[e] = F_a x2_d . x1_e.
+
+    Symmetry halves two tables.  R2's T[a][e] = sum w C(D-2, d1) x1_a x1_e
+    is symmetric, so it is built for e >= a and mirrored.  R3(a, b, c, d)
+    and R3(d, c, b, a) have the same lhs, term by term; their rhs are
+    sum w C(D-1, d1) x1_a x2_d Q_bc and sum w C(D-1, d1) x1_d x2_a Q_cb,
+    and the second turns into the first when each row is swapped for its
+    mirror (x1 <-> x2 negates Q_bc, and C(D-1, d1) = C(D-1, d2) as
+    d1 + d2 = D - 1), so they are equal on rows closed under the swap.
+    R3 keeps its rows (a, d) with a <= d, in that order, and reads a tuple
+    with a > d off its mirror.  So R1 costs n^2 dot products over the rows,
+    R2 n(n+1)/2 and R3 n^2(n+1)/2, for n divisors.  `relations` sweeps a
+    list of tuples in one loop, `relation` reads one tuple through it, and
+    `holds` decides a relation on every tuple at once, row by row.
     """
 
     def __init__(self, beta: DivisorClass, divisors, rows=(), pair=None):
@@ -333,12 +345,15 @@ class RelationEvaluator:
                 c = _binomials(self.delta - RELATIONS[name][1], 0).get
                 wc = [w * c(d1, 0) for w, d1 in zip(self.weights, self.deltas)]
                 factors, columns = [list(map(mul, wc, x1[a])) for a in n], x1
-                if name == "R2":  # U[a][e] = -(a.e), T[a][e] = F_a . x1_e
+                if name == "R2":  # U[a][e] = -(a.e), T[a][e] = F_a . x1_e = T[e][a], built for e >= a
                     lefts = [[-x for x in pair[a]] for a in n]
-                else:  # U[a n + d][e] = (a.beta)(d.e) - (d.beta)(a.e), T[a n + d][e] = F_a x2_d . x1_e
-                    lefts = [[xb[a] * p - xb[d] * q for p, q in zip(pair[d], pair[a])] for a in n for d in n]
-                    factors = [list(map(mul, f, y)) for f in factors for y in x2]
-            tables = self._built[name] = lefts, [[sum(map(mul, f, x)) for x in columns] for f in factors]
+                else:  # rows (a, d), a <= d: U[r][e] = (a.beta)(d.e) - (d.beta)(a.e), T[r][e] = F_a x2_d . x1_e
+                    lefts = [[xb[a] * p - xb[d] * q for p, q in zip(pair[d], pair[a])] for a in n for d in n[a:]]
+                    factors = [list(map(mul, f, y)) for a, f in enumerate(factors) for y in x2[a:]]
+            rights = [[sum(map(mul, f, x)) for x in columns[a if name == "R2" else 0 :]] for a, f in enumerate(factors)]
+            if name == "R2":
+                rights = [[rights[e][a - e] for e in range(a)] + rights[a] for a in n]
+            tables = self._built[name] = lefts, rights
         return tables
 
     def relations(self, name: str, tuples, every=False) -> list[WDVVRelation]:
@@ -354,7 +369,9 @@ class RelationEvaluator:
             else:
                 if name == "R3":  # insertions (A, B, C, D)
                     a, b, c, d = ins
-                    r = a * n + d
+                    if a > d:  # read off its mirror R3(d, c, b, a)
+                        a, b, c, d = d, c, b, a
+                    r = a * (2 * n - a - 1) // 2 + d
                 else:  # insertions (A, B, C, pt)
                     r, b, c = ins
                 u = lefts[r]  # one assignment each: a tuple of four would be built and unpacked
@@ -380,7 +397,7 @@ class RelationEvaluator:
         vanish when D is a multiple of the vector x.beta: D[c] (j.beta) =
         (c.beta) D[j] for every c, at a j with j.beta != 0 (none when every
         x.beta is 0, and then every tuple reads 0 = 0).  That is n checks per
-        row, against n^2 tuples."""
+        row, against n^2 tuples; R3's rows with a > d are those of their mirrors."""
         lefts, rights = self._tables(name)
         if name == "R1":
             return all([value * x for x in u] == t for u, t in zip(lefts, rights))
@@ -442,8 +459,9 @@ class GWEngine:
     def _orbit_rows(self, beta: DivisorClass) -> tuple[tuple, ...]:
         """Rows ((d1, m1), (d2, m2), orbit size, swap) of ints, one per unordered stabiliser
         orbit of `splittings(beta)`, listed anew on every call for the readers of
-        every orbit: `splittings`, and through `_orbit_data` the cusp boundary
-        sum and the delta 1 and 2 solves.  The R1 solve of N reads the walk directly.
+        every orbit: `splittings`, the consistency check (`_splitting_data`), and
+        through `_orbit_data` the cusp boundary sum and the delta 1 and 2 solves.
+        The R1 solve of N reads the walk directly.
 
         The stabiliser of beta permutes positions that hold equal m_i and acts
         on a pair by permuting both halves.  An orbit is represented by the
@@ -521,13 +539,24 @@ class GWEngine:
         return weights
 
     def _splitting_data(self, beta: DivisorClass) -> list[tuple]:
-        """Evaluator rows ((d1, *m1), N1*N2*(beta1.beta2), delta(beta1)) over `splittings(beta)`,
-        each N read through `n_beta`; (d1, *m1) is the projection on L, E_1, ..., E_k."""
-        data = []
-        for b1, b2 in self.splittings(beta):
-            if n1 := self.n_beta(b1):
-                data.append(((b1.d, *b1.m), n1 * self.n_beta(b2) * intersect(b1, b2), delta(b1)))
-        return data
+        """Evaluator rows ((d1, *m1), N1*N2*(beta1.beta2), delta(beta1)) over `splittings(beta)`, read
+        off the orbits of `_orbit_rows(beta)`; (d1, *m1) is the projection on L, E_1, ..., E_k.
+
+        N1, N2, w and delta1 are shared by every pair of an orbit, so each is computed once per
+        orbit, from one `DivisorClass` per half: N1 and N2 through `n_beta` (N2 only when N1 != 0),
+        so a memo entry that changed after a solve is seen.  `_orbit` expands the halves of an
+        orbit of size > 1, the swapped orbit's rows follow with `swap`, and a row of w = 0 is
+        left out, as every relation is a sum over the rows; no pair is built per ordered
+        splitting, and nothing is sorted.  The rows are closed under swapping the halves, which
+        `RelationEvaluator` needs for R3."""
+        rows = []
+        for h1, h2, size, swap in self._orbit_rows(beta):
+            b1, b2 = DivisorClass(*h1), DivisorClass(*h2)
+            if w := (n1 := self.n_beta(b1)) and n1 * self.n_beta(b2) * intersect(b1, b2):
+                for b in (b1, b2)[: 1 + swap]:
+                    db = delta(b)
+                    rows += [((b.d, *x), w, db) for x in (_orbit(beta.m, b.m) if size > 1 else (b.m,))]
+        return rows
 
     # ------------------------------------------------------------- relations
 
@@ -675,7 +704,7 @@ class GWEngine:
 
     def relations_hold(self, beta: DivisorClass) -> bool:
         """`consistency_check(beta).consistent`, decided off the relation tables
-        (`RelationEvaluator.holds`) with no relation built: for R3, n^3 checks
+        (`RelationEvaluator.holds`) with no relation built: for R3, n^2(n+1)/2 checks
         against n^4 tuples, n = k + 1."""
         value, evaluator = self._basis_evaluator(beta)
         return all(evaluator.holds(name, value) for name, (_, low) in RELATIONS.items() if evaluator.delta >= low)

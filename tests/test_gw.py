@@ -5,6 +5,7 @@ import stat
 import time
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -1236,6 +1237,122 @@ class TestEvaluatorRows:
         ins = tuple(map(divisors.index, relation.divisors))
         assert RelationEvaluator(beta, divisors, self.split(rows)).relation(relation.name, ins) == relation
         assert relation.solve() == 90
+
+
+def pair_splitting_data(engine, beta):
+    """Reference for `GWEngine._splitting_data`: one row ((d1, *m1), N1 N2 (beta1.beta2), delta(beta1)) per
+    ordered pair of `splittings(beta)`, N1 read per pair through `n_beta` and N2 where N1 != 0."""
+    return [
+        ((b1.d, *b1.m), n1 * engine.n_beta(b2) * intersect(b1, b2), delta(b1))
+        for b1, b2 in engine.splittings(beta)
+        if (n1 := engine.n_beta(b1))
+    ]
+
+
+def full_table_relations(engine, beta):
+    """(name, insertions, lhs, rhs) of R1, R2 and R3 on every basis tuple of beta, in `product` order,
+    read off full tables summed row by row over `pair_splitting_data`: R1's n^2 entries, the whole
+    n x n R2 matrix and all n^2 rows of R3, with each lhs written out and each binomial by `comb0`."""
+    basis, _ = gw._basis(beta.k)
+    rows, n, db = pair_splitting_data(engine, beta), range(len(basis)), delta(beta)
+    ab = [[intersect(x, y) for y in basis] for x in basis]
+    xb = [intersect(x, beta) for x in basis]
+    x1 = [[p[a] for p, _, _ in rows] for a in n]  # a row's (d1, *m1) is its projection on the basis
+    x2 = [[xb[a] - y for y in x1[a]] for a in n]
+
+    found = []
+    if db >= 3:
+        f = [[w * (comb0(db - 3, d1 - 1) * y1 - comb0(db - 3, d1 - 2) * y2)
+              for (_, w, d1), y1, y2 in zip(rows, x1[a], x2[a])] for a in n]
+        found += [("R1", (a, b), ab[a][b], sum(map(mul, f[a], x2[b]))) for a, b in product(n, repeat=2)]
+    if db >= 2:
+        c = [w * comb0(db - 2, d1) for _, w, d1 in rows]
+        t = [[sum(map(mul, map(mul, c, x1[a]), x1[e])) for e in n] for a in n]
+        for a, b, cc in product(n, repeat=3):
+            lhs = ab[a][b] * xb[cc] - ab[a][cc] * xb[b]
+            found.append(("R2", (a, b, cc), lhs, xb[b] * t[a][cc] - xb[cc] * t[a][b]))
+    c = [w * comb0(db - 1, d1) for _, w, d1 in rows]
+    t = {(a, d): [sum(map(mul, map(mul, map(mul, c, x1[a]), x2[d]), x1[e])) for e in n] for a in n for d in n}
+    for a, b, cc, d in product(n, repeat=4):
+        lhs = (ab[a][b] * xb[cc] * xb[d] + ab[cc][d] * xb[a] * xb[b]
+               - ab[a][cc] * xb[b] * xb[d] - ab[b][d] * xb[a] * xb[cc])
+        found.append(("R3", (a, b, cc, d), lhs, xb[b] * t[a, d][cc] - xb[cc] * t[a, d][b]))
+    return found
+
+
+class TestSymmetricTables:
+    """R2's mirrored matrix and R3's rows (a, d) with a <= d give what the full tables give."""
+
+    CLASSES = ["5;2,2,2,1,1", "6;2,2,2,2,2,1", "7;3,2,2,2,2,2,2,2", "6;2,2,2,2,2,2,2,2", "9;3,3,3,3,3,3,3,3"]
+
+    @staticmethod
+    def engine_for(literal, poisoned):
+        """A fresh engine that knows N of every half of the class; `poisoned` adds 1 to the memo entry
+        of the half beta - E_k, which only the rows that `swap` adds reach as beta1."""
+        engine, beta = GWEngine(), parse_class_literal(literal)
+        engine.consistency_check(beta)
+        if poisoned:
+            half = beta - SurfaceModel(beta.k).exceptional(beta.k - 1)
+            engine._memo[blown_down_key(half.d, half.m)] += 1
+        return engine, beta
+
+    @pytest.mark.parametrize("poisoned", [False, True])
+    @pytest.mark.parametrize("literal", CLASSES)
+    def test_every_basis_tuple_reads_the_full_tables(self, literal, poisoned):
+        engine, beta = self.engine_for(literal, poisoned)
+        basis, _ = gw._basis(beta.k)
+        _, evaluator = engine._basis_evaluator(beta)
+        expected = full_table_relations(engine, beta)
+        got = []
+        for name, ins, _, _ in expected:
+            relation = evaluator.relation(name, ins)
+            assert relation.divisors == tuple(basis[i] for i in ins)
+            got.append((name, ins, relation.lhs_coeff, relation.rhs))
+        assert got == expected
+        assert any(lhs for _, _, lhs, _ in expected)
+        assert engine.relations_hold(beta) == (not poisoned) == all(
+            lhs * engine.n_beta(beta) == rhs for _, _, lhs, rhs in expected
+        )
+
+    @pytest.mark.parametrize("poisoned", [False, True])
+    @pytest.mark.parametrize("literal", CLASSES)
+    def test_splitting_data_is_swap_closed_and_matches_the_pairs(self, literal, poisoned):
+        engine, beta = self.engine_for(literal, poisoned)
+        rows = engine._splitting_data(beta)
+        top = delta(beta) - 1
+        swapped = [((beta.d - p[0], *(mi - x for mi, x in zip(beta.m, p[1:]))), w, top - d1) for p, w, d1 in rows]
+        assert Counter(swapped) == Counter(rows)
+        assert Counter(rows) == Counter(row for row in pair_splitting_data(engine, beta) if row[1])
+        assert all(w for _, w, _ in rows)
+
+    def test_relations_hold_on_every_key_the_anchor_solves_read(self, monkeypatch):
+        # the keys a cold N of both cold_nbeta anchors and of 9;3^8 solves by a relation, k up to 8
+        keys, orbit_relation = set(), GWEngine._orbit_relation
+        monkeypatch.setattr(
+            GWEngine, "_orbit_relation", lambda self, b, w: keys.add((b.d, b.m)) or orbit_relation(self, b, w)
+        )
+        for literal in ("8;2,2,2,2,2,2", "7;3,2,2,2,2,2,2,2", "9;3,3,3,3,3,3,3,3"):
+            GWEngine().n_beta(parse_class_literal(literal))
+        monkeypatch.undo()
+        assert len(keys) == 23 and max(len(m) for _, m in keys) == 8
+        engine = GWEngine()
+        assert all(engine.relations_hold(DivisorClass(*key)) for key in sorted(keys))
+
+    def test_a_poisoned_half_that_only_swapped_rows_reach(self):
+        # 6;2^6 is N of beta - E_6 alone among the halves of 6;2,2,2,2,2,1, so only the swap of the
+        # E_6 orbit reads it, as beta1 of degree 6
+        engine, beta = self.engine_for("6;2,2,2,2,2,1", poisoned=True)
+        key = blown_down_key(6, (2,) * 6)
+        assert {b1.d for pair in engine.splittings(beta) for b1 in pair if blown_down_key(b1.d, b1.m) == key} == {6}
+        assert not engine.relations_hold(beta)
+        value, basis = engine.n_beta(beta), gw._basis(beta.k)[0]
+        expected = [
+            (name, tuple(basis[i] for i in ins), lhs, rhs)
+            for name, ins, lhs, rhs in full_table_relations(engine, beta)
+            if lhs * value != rhs
+        ]
+        assert expected
+        assert [tuple(r) for r in engine.consistency_check(beta).disagreements()] == expected
 
 
 class TestDivisorPool:
