@@ -8,7 +8,6 @@ them.  Everything is exact: integers and fractions, no floats.
 from .cusp import CuspResult, c_beta, splitting_term
 from .gw import (
     CACHE_ENV_VAR,
-    ConsistencyReport,
     GWEngine,
     InconsistentRelationError,
     WDVVRelation,
@@ -30,7 +29,6 @@ from .lattice import (
 
 __all__ = [
     "CACHE_ENV_VAR",
-    "ConsistencyReport",
     "CuspResult",
     "DivisorClass",
     "GWEngine",

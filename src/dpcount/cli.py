@@ -156,8 +156,7 @@ def _cmd_table(engine: GWEngine, args) -> int:
 
 def _cmd_verify(engine: GWEngine, args) -> int:
     ok, lines = SUITES[args.suite](engine)
-    for line in lines:
-        print(line)
+    _emit(args, {"suite": args.suite, "ok": ok, "lines": lines}, lines)
     return 0 if ok else 1
 
 

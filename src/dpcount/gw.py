@@ -16,7 +16,7 @@ import os
 from collections.abc import Mapping
 from contextlib import suppress
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 from operator import mul, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
@@ -76,23 +76,6 @@ class WDVVRelation(NamedTuple):
         return q
 
 
-class ConsistencyReport(NamedTuple):
-    """The engine's N(beta) and the relations `GWEngine.consistency_check` evaluated on it."""
-
-    beta: DivisorClass
-    value: int
-    relations: list[WDVVRelation]
-
-    @property
-    def consistent(self) -> bool:
-        """lhs * value = rhs for every listed relation, lhs = 0 included; on the basis tuples of
-        `GWEngine.consistency_check` every nondegenerate relation then implies `value`."""
-        return not self.disagreements()
-
-    def disagreements(self) -> list[WDVVRelation]:
-        return [r for r in self.relations if r.lhs_coeff * self.value != r.rhs]
-
-
 @lru_cache(maxsize=None)
 def divisor_pool(k: int) -> tuple[DivisorClass, ...]:
     """Deterministic pool of probe divisors: L, the E_i, -K, the L - E_i and the L - E_i - E_j.
@@ -114,15 +97,6 @@ def divisor_pool(k: int) -> tuple[DivisorClass, ...]:
 
 # L and -K on the k-point blow-up, by k: the insertions of every solve (`GWEngine._orbit_relation`)
 _LINE_AND_ANTICANONICAL = tuple((DivisorClass(1, (0,) * k), DivisorClass(3, (1,) * k)) for k in range(9))
-
-
-@lru_cache(maxsize=None)
-def _basis(k: int) -> tuple:
-    """The basis L, E_1, ..., E_k of the k-point blow-up and its x.y table, diag(1, -1, ..., -1):
-    the insertions of `GWEngine.consistency_check` and `relations_hold`, built once per k on first use."""
-    surface = SurfaceModel(k)
-    basis = (surface.line(), *(surface.exceptional(i) for i in range(k)))
-    return basis, tuple(tuple(intersect(x, y) for y in basis) for x in basis)
 
 
 @lru_cache(maxsize=None)
@@ -154,12 +128,14 @@ def _base_value(d: int, m: tuple[int, ...]) -> int | None:
     """N of the class (d, m) where no relation is needed: a seed's value, 0 where N certainly
     vanishes for geometric reasons, None otherwise.
 
-    The one seed and vanishing rule, read by `GWEngine._solve`, `_orbit_rows`
-    and `GWEngine.quick_vanishing`; `GWEngine.seed_value` reads its seed
-    table, `_seed_keys`.  N vanishes at d < 0, at d = 0 but for the E_i
-    (seeds), and at d >= 1 when some m_i < 0 or m_i > d, when
-    delta = 3d - sum(m) - 1 < 0, when delta = 0 and the class is no seed, or
-    when the genus is negative, that is, sum m_i(m_i - 1) > (d - 1)(d - 2).
+    The one seed and vanishing rule, read by `GWEngine._solve`,
+    `GWEngine._orbit_rows` and `GWEngine.quick_vanishing`, and so by every
+    reader of orbit rows, the checks of `verify` among them;
+    `GWEngine.seed_value` reads its seed table, `_seed_keys`.  N vanishes at
+    d < 0, at d = 0 but for the E_i (seeds), and at d >= 1 when some m_i < 0
+    or m_i > d, when delta = 3d - sum(m) - 1 < 0, when delta = 0 and the
+    class is no seed, or when the genus is negative, that is,
+    sum m_i(m_i - 1) > (d - 1)(d - 2).
     """
     seed = _seed_keys(len(m)).get((d, m))
     if seed is not None:
@@ -266,12 +242,6 @@ def r1_factors(n: int, rows) -> list[int]:
     return [w * (hi(delta1, 0) * x1 - lo(delta1, 0) * x2) for w, delta1, x1, x2 in rows]
 
 
-def project(divisors, rows) -> list[tuple]:
-    """Evaluator rows (x.beta1 for x in divisors, w, delta1) of rows (half, w, delta1) whose half
-    beta1 is given as (d1, m1_1, ..., m1_k), its projection on the basis L, E_1, ..., E_k."""
-    return [(tuple(x.d * h[0] - sum(map(mul, x.m, h[1:])) for x in divisors), w, d1) for h, w, d1 in rows]
-
-
 class RelationEvaluator:
     """Both sides of R1, R2 and R3, lhs * N_beta = rhs, for one class beta.
 
@@ -280,13 +250,15 @@ class RelationEvaluator:
     x2 = x.beta2 = x.beta - x1 per splitting for the rhs.  A row of `rows` is
     a splitting or orbit seen only through its projection: (x1 for each
     divisor, w, delta(beta1)), with w = N1 N2 (beta1.beta2) times the orbit
-    size; `project` builds them from halves.  Both sides are linear in the
-    rows, so rows may be split or reordered freely.  R3 needs the rows closed
-    under swapping the halves, (x1, w, delta1) <-> (x2, w, D - 1 - delta1):
-    `GWEngine._splitting_data` and the orbit weights are.
+    size; `verify.project` builds them from halves.  Both sides are linear in
+    the rows, so rows may be split or reordered freely.  R3 needs the rows
+    closed under swapping the halves, (x1, w, delta1) <-> (x2, w, D - 1 - delta1):
+    `verify.splitting_rows` and the orbit weights are.  The solve reads this
+    class at delta 1 and 2 on (L, -K); the checks in `verify` read it on any
+    divisors.
 
-    `__init__` builds x.y (`pair`, which `_basis_evaluator` passes from
-    `_basis`), x.beta and the columns of the rows once: w, delta(beta1) and,
+    `__init__` builds x.y (`pair`, which the basis checks of `verify` pass
+    once per k), x.beta and the columns of the rows once: w, delta(beta1) and,
     per divisor, x1 and x2.  The factor F_a of insertion a is
     w (C(D-3, d1-1) x1_a - C(D-3, d1-2) x2_a) for R1 (`r1_factors`),
     w C(D-2, d1) x1_a for R2 and w C(D-1, d1) x1_a for R3, D = delta(beta),
@@ -412,6 +384,13 @@ class RelationEvaluator:
         return True
 
 
+def _verify():
+    """The `verify` module, imported on the first call: it imports this module, and the solve needs none of it."""
+    from . import verify
+
+    return verify
+
+
 class GWEngine:
     """Memoized evaluator of the counts N over every k <= 8 surface at once.
 
@@ -428,7 +407,8 @@ class GWEngine:
     and R3(L, L, -K, -K) at delta 1.  No orbit rows are kept: `_orbit_rows`
     lists them on every call.
     The memo, `_half_n` and the cusp boundary sums that `cusp.c_beta` keeps,
-    per canonical class, in `cusp_boundary`, are insert-only maps.
+    per canonical class, in `cusp_boundary`, are insert-only maps.  The
+    relation checks on N are functions of an engine in `verify`.
     """
 
     def __init__(self):
@@ -459,7 +439,7 @@ class GWEngine:
     def _orbit_rows(self, beta: DivisorClass) -> tuple[tuple, ...]:
         """Rows ((d1, m1), (d2, m2), orbit size, swap) of ints, one per unordered stabiliser
         orbit of `splittings(beta)`, listed anew on every call for the readers of
-        every orbit: `splittings`, the consistency check (`_splitting_data`), and
+        every orbit: `splittings`, the consistency check (`verify.splitting_rows`), and
         through `_orbit_data` the cusp boundary sum and the delta 1 and 2 solves.
         The R1 solve of N reads the walk directly.
 
@@ -488,7 +468,7 @@ class GWEngine:
         """All ordered pairs beta1 + beta2 = beta with both halves viable, sorted by beta1.
 
         The orbits of `_orbit_rows` and their swaps, expanded, for probe
-        divisors that are not stabiliser invariant, as in `consistency_check`."""
+        divisors that are not stabiliser invariant, as in `verify.consistency_check`."""
         pairs = [
             (DivisorClass(hd, m1), DivisorClass(beta.d - hd, tuple(map(sub, beta.m, m1))))
             for h1, h2, _, swap in self._orbit_rows(beta)
@@ -513,8 +493,8 @@ class GWEngine:
 
         N of a half is filed in `_half_n` once per canonical half (d, sorted m).  The task yields
         each canonical half that `_half_n` lacks and files the N it is sent, all on ints: no class
-        is built here.  Only the solve path reads `_half_n`; `consistency_check` reads N through
-        `n_beta`, so it sees a memo entry that changed after a solve.  The delta 1 and 2 solves
+        is built here.  Only the solve path reads `_half_n`; `verify`'s checks read N through
+        `n_beta`, so they see a memo entry that changed after a solve.  The delta 1 and 2 solves
         of N read every orbit, E_i orbits included; the delta >= 3 solve reads the orbits that
         the walk lists for d1 >= 1.  `_orbit_relation` takes the weights of either solve."""
         known = self._half_n
@@ -538,49 +518,21 @@ class GWEngine:
                     weights[d2, top - delta1] = weights.get((d2, top - delta1), 0) + w
         return weights
 
-    def _splitting_data(self, beta: DivisorClass) -> list[tuple]:
-        """Evaluator rows ((d1, *m1), N1*N2*(beta1.beta2), delta(beta1)) over `splittings(beta)`, read
-        off the orbits of `_orbit_rows(beta)`; (d1, *m1) is the projection on L, E_1, ..., E_k.
+    # -------------------------------------------------------- pinned names
+    # `perfbench/tracing.py` wraps these four by name, so each stays as a delegate to `verify`
+    # until the next harness change (ROADMAP item 11); `_verify` imports it at call time.
 
-        N1, N2, w and delta1 are shared by every pair of an orbit, so each is computed once per
-        orbit, from one `DivisorClass` per half: N1 and N2 through `n_beta` (N2 only when N1 != 0),
-        so a memo entry that changed after a solve is seen.  `_orbit` expands the halves of an
-        orbit of size > 1, the swapped orbit's rows follow with `swap`, and a row of w = 0 is
-        left out, as every relation is a sum over the rows; no pair is built per ordered
-        splitting, and nothing is sorted.  The rows are closed under swapping the halves, which
-        `RelationEvaluator` needs for R3."""
-        rows = []
-        for h1, h2, size, swap in self._orbit_rows(beta):
-            b1, b2 = DivisorClass(*h1), DivisorClass(*h2)
-            if w := (n1 := self.n_beta(b1)) and n1 * self.n_beta(b2) * intersect(b1, b2):
-                for b in (b1, b2)[: 1 + swap]:
-                    db = delta(b)
-                    rows += [((b.d, *x), w, db) for x in (_orbit(beta.m, b.m) if size > 1 else (b.m,))]
-        return rows
+    def consistency_check(self, beta: DivisorClass):
+        return _verify().consistency_check(self, beta)
 
-    # ------------------------------------------------------------- relations
-
-    def _relation(self, name: str, beta: DivisorClass, divisors) -> WDVVRelation:
-        """Relation `name` over the whole splitting list of beta; the formulas are in `RelationEvaluator`
-        and `r1_factors`."""
-        low = RELATIONS[name][1]
-        db = delta(beta)
-        if db < low:
-            raise ValueError(f"relation {name} needs delta >= {low}, got {db} for {beta}")
-        evaluator = RelationEvaluator(beta, divisors, project(divisors, self._splitting_data(beta)))
-        return evaluator.relation(name, tuple(range(len(divisors))))
-
-    def relation_r1(self, beta: DivisorClass, a: DivisorClass, b: DivisorClass) -> WDVVRelation:
-        """Insertion pattern (pt, pt, A, B); needs delta(beta) >= 3."""
-        return self._relation("R1", beta, (a, b))
+    def relation_r1(self, beta, a, b) -> WDVVRelation:
+        return _verify().relation(self, "R1", beta, (a, b))
 
     def relation_r2(self, beta, a, b, c) -> WDVVRelation:
-        """Insertion pattern (A, B, C, pt); needs delta(beta) >= 2."""
-        return self._relation("R2", beta, (a, b, c))
+        return _verify().relation(self, "R2", beta, (a, b, c))
 
     def relation_r3(self, beta, a, b, c, d) -> WDVVRelation:
-        """Insertion pattern (A, B, C, D); needs delta(beta) >= 1."""
-        return self._relation("R3", beta, (a, b, c, d))
+        return _verify().relation(self, "R3", beta, (a, b, c, d))
 
     # ------------------------------------------------------------ the counts
 
@@ -683,37 +635,6 @@ class GWEngine:
         rows = (((d1, delta1 + 1), w, delta1) for (d1, delta1), w in weights.items())
         evaluator = RelationEvaluator(beta, divisors, rows)
         return evaluator.relation("R2", (0, 0, 1)) if db == 2 else evaluator.relation("R3", (0, 0, 1, 1))
-
-    # ------------------------------------------------------------ diagnostics
-
-    def consistency_check(self, beta: DivisorClass) -> ConsistencyReport:
-        """Check lhs * N_beta = rhs, lhs = 0 included, for each relation beta's delta admits.
-
-        The insertions run over every tuple of the basis L, E_1, ..., E_k.  Both
-        sides are multilinear in the insertions and every class is an integer
-        combination of the basis, so when all of these hold, every nondegenerate
-        relation on any divisors, `divisor_pool`'s among them, implies the
-        engine value.  The report lists the tuples that do not read 0 = 0."""
-        value, evaluator = self._basis_evaluator(beta)
-        report = ConsistencyReport(beta=beta, value=value, relations=[])
-        positions = range(len(evaluator.divisors))
-        for name, (arity, low) in RELATIONS.items():
-            if evaluator.delta >= low:
-                report.relations.extend(evaluator.relations(name, product(positions, repeat=arity)))
-        return report
-
-    def relations_hold(self, beta: DivisorClass) -> bool:
-        """`consistency_check(beta).consistent`, decided off the relation tables
-        (`RelationEvaluator.holds`) with no relation built: for R3, n^2(n+1)/2 checks
-        against n^4 tuples, n = k + 1."""
-        value, evaluator = self._basis_evaluator(beta)
-        return all(evaluator.holds(name, value) for name, (_, low) in RELATIONS.items() if evaluator.delta >= low)
-
-    def _basis_evaluator(self, beta: DivisorClass) -> tuple[int, RelationEvaluator]:
-        """N(beta), then the evaluator of its splittings on the basis L, E_1, ..., E_k."""
-        basis, pair = _basis(beta.k)
-        value = self.n_beta(beta)
-        return value, RelationEvaluator(beta, basis, self._splitting_data(beta), pair)
 
     # --------------------------------------------------------------- caching
 

@@ -1,17 +1,23 @@
 """Self-verification suites: classical values, relation consistency, symmetry.
 
-Every suite returns (ok, lines); the CLI prints the lines and turns ok into
-an exit code, the acceptance tests assert on it directly.
+Every suite returns (ok, lines); the CLI prints the lines, or one JSON record
+of both under `--format json`, and turns ok into an exit code, the
+acceptance tests assert on it directly.  The relation
+checks are functions of an engine: they read its N and its splitting orbits,
+and the engine's solve reads none of them.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
+from operator import mul
+from typing import NamedTuple
 
 from .cusp import c_beta
-from .gw import CACHE_ENV_VAR, GWEngine
-from .lattice import DivisorClass, cremona_image, delta
+from .gw import CACHE_ENV_VAR, RELATIONS, GWEngine, RelationEvaluator, WDVVRelation
+from .lattice import DivisorClass, SurfaceModel, _orbit, cremona_image, delta, intersect
 
 # Plane curve counts: rational degree-d curves through 3d - 1 points.
 PLANE_RATIONAL_COUNTS = {
@@ -26,6 +32,103 @@ PLANE_RATIONAL_COUNTS = {
 
 # Plane cuspidal counts: rational degree-d curves through 3d - 2 points with a cusp.
 PLANE_CUSPIDAL_COUNTS = {2: 0, 3: 24, 4: 2304, 5: 435168}
+
+
+class ConsistencyReport(NamedTuple):
+    """The engine's N(beta) and the relations `consistency_check` evaluated on it."""
+
+    beta: DivisorClass
+    value: int
+    relations: list[WDVVRelation]
+
+    @property
+    def consistent(self) -> bool:
+        """lhs * value = rhs for every listed relation, lhs = 0 included; on the basis tuples of
+        `consistency_check` every nondegenerate relation then implies `value`."""
+        return not self.disagreements()
+
+    def disagreements(self) -> list[WDVVRelation]:
+        return [r for r in self.relations if r.lhs_coeff * self.value != r.rhs]
+
+
+@lru_cache(maxsize=None)
+def _basis(k: int) -> tuple:
+    """The basis L, E_1, ..., E_k of the k-point blow-up and its x.y table, diag(1, -1, ..., -1):
+    the insertions of `consistency_check` and `relations_hold`, built once per k on first use."""
+    surface = SurfaceModel(k)
+    basis = (surface.line(), *(surface.exceptional(i) for i in range(k)))
+    return basis, tuple(tuple(intersect(x, y) for y in basis) for x in basis)
+
+
+def project(divisors, rows) -> list[tuple]:
+    """Evaluator rows (x.beta1 for x in divisors, w, delta1) of rows (half, w, delta1) whose half
+    beta1 is given as (d1, m1_1, ..., m1_k), its projection on the basis L, E_1, ..., E_k."""
+    return [(tuple(x.d * h[0] - sum(map(mul, x.m, h[1:])) for x in divisors), w, d1) for h, w, d1 in rows]
+
+
+def splitting_rows(engine: GWEngine, beta: DivisorClass) -> list[tuple]:
+    """Evaluator rows ((d1, *m1), N1*N2*(beta1.beta2), delta(beta1)) over `engine.splittings(beta)`, read
+    off the orbits of `engine._orbit_rows(beta)`; (d1, *m1) is the projection on L, E_1, ..., E_k.
+
+    N1, N2, w and delta1 are shared by every pair of an orbit, so each is computed once per
+    orbit, from one `DivisorClass` per half: N1 and N2 through `n_beta` (N2 only when N1 != 0),
+    so a memo entry that changed after a solve is seen.  `_orbit` expands the halves of an
+    orbit of size > 1, the swapped orbit's rows follow with `swap`, and a row of w = 0 is
+    left out, as every relation is a sum over the rows; no pair is built per ordered
+    splitting, and nothing is sorted.  The rows are closed under swapping the halves, which
+    `RelationEvaluator` needs for R3."""
+    rows = []
+    for h1, h2, size, swap in engine._orbit_rows(beta):
+        b1, b2 = DivisorClass(*h1), DivisorClass(*h2)
+        if w := (n1 := engine.n_beta(b1)) and n1 * engine.n_beta(b2) * intersect(b1, b2):
+            for b in (b1, b2)[: 1 + swap]:
+                db = delta(b)
+                rows += [((b.d, *x), w, db) for x in (_orbit(beta.m, b.m) if size > 1 else (b.m,))]
+    return rows
+
+
+def relation(engine: GWEngine, name: str, beta: DivisorClass, divisors) -> WDVVRelation:
+    """Relation `name` on the insertions `divisors`, in order, over the whole splitting list of beta:
+    R1 on (pt, pt, A, B), R2 on (A, B, C, pt) and R3 on (A, B, C, D), which need delta(beta) >= 3, 2
+    and 1.  The formulas are in `RelationEvaluator` and `r1_factors`."""
+    low = RELATIONS[name][1]
+    db = delta(beta)
+    if db < low:
+        raise ValueError(f"relation {name} needs delta >= {low}, got {db} for {beta}")
+    evaluator = RelationEvaluator(beta, divisors, project(divisors, splitting_rows(engine, beta)))
+    return evaluator.relation(name, tuple(range(len(divisors))))
+
+
+def consistency_check(engine: GWEngine, beta: DivisorClass) -> ConsistencyReport:
+    """Check lhs * N_beta = rhs, lhs = 0 included, for each relation beta's delta admits.
+
+    The insertions run over every tuple of the basis L, E_1, ..., E_k.  Both
+    sides are multilinear in the insertions and every class is an integer
+    combination of the basis, so when all of these hold, every nondegenerate
+    relation on any divisors, `divisor_pool`'s among them, implies the
+    engine value.  The report lists the tuples that do not read 0 = 0."""
+    value, evaluator = _basis_evaluator(engine, beta)
+    report = ConsistencyReport(beta=beta, value=value, relations=[])
+    positions = range(len(evaluator.divisors))
+    for name, (arity, low) in RELATIONS.items():
+        if evaluator.delta >= low:
+            report.relations.extend(evaluator.relations(name, product(positions, repeat=arity)))
+    return report
+
+
+def relations_hold(engine: GWEngine, beta: DivisorClass) -> bool:
+    """`consistency_check(engine, beta).consistent`, decided off the relation tables
+    (`RelationEvaluator.holds`) with no relation built: for R3, n^2(n+1)/2 checks
+    against n^4 tuples, n = k + 1."""
+    value, evaluator = _basis_evaluator(engine, beta)
+    return all(evaluator.holds(name, value) for name, (_, low) in RELATIONS.items() if evaluator.delta >= low)
+
+
+def _basis_evaluator(engine: GWEngine, beta: DivisorClass) -> tuple[int, RelationEvaluator]:
+    """N(beta), then the evaluator of its splittings on the basis L, E_1, ..., E_k."""
+    basis, pair = _basis(beta.k)
+    value = engine.n_beta(beta)
+    return value, RelationEvaluator(beta, basis, splitting_rows(engine, beta), pair)
 
 
 def classical_suite(engine: GWEngine) -> tuple[bool, list[str]]:
@@ -82,19 +185,19 @@ def consistency_suite(
 ) -> tuple[bool, list[str]]:
     """R1, R2 and R3 must hold at the engine value on every basis tuple, class by class.
 
-    The default draw, seed 1, holds classes of every k = 5..8.  `GWEngine.relations_hold`
-    decides each class; only a failing one gets a `consistency_check` report, whose first
-    three disagreements print as FAIL lines.
+    The default draw, seed 1, holds classes of every k = 5..8.  `relations_hold` decides
+    each class; only a failing one gets a `consistency_check` report, whose first three
+    disagreements print as FAIL lines.
     """
     rng = random.Random(seed)
     classes = random_classes(rng, samples, k_max=k_max, delta_max=delta_max, engine=engine)
     lines = []
     ok = True
     for beta in classes:
-        if engine.relations_hold(beta):
+        if relations_hold(engine, beta):
             continue
         ok = False
-        report = engine.consistency_check(beta)  # for the FAIL lines
+        report = consistency_check(engine, beta)  # for the FAIL lines
         for bad in report.disagreements()[:3]:
             lines.append(
                 f"FAIL {beta}: {bad.name}{tuple(str(x) for x in bad.divisors)} has "

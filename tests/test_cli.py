@@ -387,6 +387,24 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "cache"]) == 1
         assert capsys.readouterr().out.startswith("cache: no rows loaded")
 
+    def test_classical_suite_json(self, capsys):
+        assert main(["--format", "json", "verify", "--suite", "classical"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        record = json.loads(out)
+        assert (record["suite"], record["ok"], len(record["lines"])) == ("classical", True, 11)
+        assert "C(4L) = 2304 expected 2304: ok" in record["lines"]
+
+    def test_failing_suite_json_exits_one(self, capsys, monkeypatch):
+        monkeypatch.delenv("DPCOUNT_CACHE", raising=False)
+        assert main(["--format", "json", "verify", "--suite", "cache"]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record == {
+            "suite": "cache",
+            "ok": False,
+            "lines": ["cache: no rows loaded; give --cache-path or set DPCOUNT_CACHE"],
+        }
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
@@ -485,6 +503,20 @@ class TestFreshProcess:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=self.ENV)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "[]\nC=2304 first=1395 boundary=909 valid=true\n"
+
+    def test_import_loads_no_verify_until_a_check(self):
+        # the relation checks live in `verify`; the engine's pinned delegates import it on their first call
+        code = (
+            f"import sys; sys.path.insert(0, {self.PACKAGE_ROOT!r}); import dpcount; "
+            "engine, beta = dpcount.GWEngine(), dpcount.DivisorClass(4, (1, 1)); "
+            "print(engine.n_beta(beta), 'dpcount.verify' in sys.modules); "
+            "report = engine.consistency_check(beta); "
+            "from dpcount import verify; "
+            "print('dpcount.verify' in sys.modules, report == verify.consistency_check(engine, beta), "
+            "report.consistent)"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=self.ENV)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "620 False\nTrue True True\n")
 
     def test_a_cold_count_needs_no_recursion_depth(self, tmp_path):
         # the keys 150;, 149;, ... wait on each other on the solve's own task stack,

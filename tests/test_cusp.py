@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from dpcount.cusp import CuspResult, _boundary_factor, c_beta, splitting_term
-from dpcount.gw import ConsistencyReport, GWEngine, InconsistentRelationError, WDVVRelation, comb0
+from dpcount.gw import GWEngine, InconsistentRelationError, WDVVRelation, comb0
 from dpcount.lattice import DivisorClass, arithmetic_genus, delta, parse_class_literal
 from dpcount import verify
 from oracles import plane_cusp_count
@@ -25,12 +25,12 @@ class TestResultRecords:
 
     def test_consistency_report_fields_by_name(self):
         relation = WDVVRelation("R1", (), 2, 6)
-        report = ConsistencyReport(beta=P(4), value=3, relations=[relation])
+        report = verify.ConsistencyReport(beta=P(4), value=3, relations=[relation])
         assert (report.beta, report.value, report.relations) == (P(4), 3, [relation])
         assert report.consistent and report.disagreements() == []
 
     def test_reports_share_no_relation_list(self, engine):
-        first, second = engine.consistency_check(P(4)), engine.consistency_check(P(4))
+        first, second = verify.consistency_check(engine, P(4)), verify.consistency_check(engine, P(4))
         assert first.relations == second.relations and first.relations is not second.relations
 
 

@@ -87,7 +87,7 @@ def box_splittings(engine, beta):
 
 
 def pool_relations(engine, beta, tuples, keep_zero_lhs=False):
-    """Reference for `GWEngine.consistency_check`: the check it replaced, over `divisor_pool`.
+    """Reference for `verify.consistency_check`: the check it replaced, over `divisor_pool`.
 
     Returns (name, divisors, lhs, rhs) for every relation with lhs != 0 on the
     pool index tuples that tuples(arity, pool size) yields; with
@@ -178,13 +178,13 @@ def pool_solve_low_delta(engine, beta):
             pp[a][b] * pb[c] * pb[d] + pp[c][d] * pb[a] * pb[b] - pp[a][c] * pb[b] * pb[d] - pp[b][d] * pb[a] * pb[c]
         ),
     }
-    for name, relation in (("R2", engine.relation_r2), ("R3", engine.relation_r3)):
+    for name in ("R2", "R3"):
         arity, low = RELATIONS[name]
         if db < low:
             continue
         for ins in product(range(len(pool)), repeat=arity):
             if lhs[name](*ins) != 0:
-                return relation(beta, *(pool[i] for i in ins)).solve()
+                return verify.relation(engine, name, beta, tuple(pool[i] for i in ins)).solve()
     raise ValueError(f"no nondegenerate relation in the pool for {beta}")
 
 
@@ -468,7 +468,7 @@ class TestSplittingOrbits:
             if delta(beta) >= 3:
                 mk = SurfaceModel(beta.k).anticanonical()
                 orbit_rhs = on_orbits(beta, (mk, mk), engine._orbit_data(beta)).relation("R1", (0, 1)).rhs
-                assert orbit_rhs == engine.relation_r1(beta, mk, mk).rhs, beta
+                assert orbit_rhs == verify.relation(engine, "R1", beta, (mk, mk)).rhs, beta
 
     def test_walk_weights_are_orbit_lengths_in_any_order(self, engine):
         # `splittings` is public and passes m in any order to _orbit_rows, so
@@ -763,25 +763,25 @@ class TestLowDelta:
 
 class TestRelationR1:
     def test_conic(self, engine):
-        rel = engine.relation_r1(P(2), P(1), P(1))
+        rel = verify.relation(engine, "R1", P(2), (P(1), P(1)))
         assert (rel.lhs_coeff, rel.rhs) == (1, 1)
 
     def test_nodal_cubics(self, engine):
-        assert engine.relation_r1(P(3), P(1), P(1)).rhs == 12
+        assert verify.relation(engine, "R1", P(3), (P(1), P(1))).rhs == 12
 
     def test_quartics(self, engine):
-        assert engine.relation_r1(P(4), P(1), P(1)).rhs == 620
+        assert verify.relation(engine, "R1", P(4), (P(1), P(1))).rhs == 620
 
     def test_precondition(self, engine):
         with pytest.raises(ValueError):
-            engine.relation_r1(P(1), P(1), P(1))
+            verify.relation(engine, "R1", P(1), (P(1), P(1)))
 
 
 class TestRelationR2:
     def test_conic_through_three_assigned_points(self, engine):
         surface = SurfaceModel(3)
-        rel = engine.relation_r2(
-            DivisorClass(2, (1, 1, 1)), surface.line(), surface.line(), surface.exceptional(0)
+        rel = verify.relation(
+            engine, "R2", DivisorClass(2, (1, 1, 1)), (surface.line(), surface.line(), surface.exceptional(0))
         )
         assert (rel.lhs_coeff, rel.rhs) == (1, 1)
 
@@ -795,7 +795,7 @@ class TestRelationR2:
 
     def test_precondition(self, engine):
         with pytest.raises(ValueError):
-            engine.relation_r2(DivisorClass(1, (1, 0)), P2_L, P2_L, P2_L)
+            verify.relation(engine, "R2", DivisorClass(1, (1, 0)), (P2_L, P2_L, P2_L))
 
 
 P2_L = DivisorClass(1, (0, 0))
@@ -804,12 +804,11 @@ P2_L = DivisorClass(1, (0, 0))
 class TestRelationR3:
     def test_line_through_assigned_point(self, engine):
         surface = SurfaceModel(2)
-        rel = engine.relation_r3(
+        rel = verify.relation(
+            engine,
+            "R3",
             DivisorClass(1, (1, 0)),
-            surface.exceptional(0),
-            surface.exceptional(1),
-            surface.line(),
-            surface.line() - surface.exceptional(1),
+            (surface.exceptional(0), surface.exceptional(1), surface.line(), surface.line() - surface.exceptional(1)),
         )
         assert (rel.lhs_coeff, rel.rhs) == (-1, -1)
 
@@ -826,6 +825,19 @@ class TestRelationR3:
 
     def test_degenerate_for_proportional_divisors(self, engine):
         assert RelationEvaluator(P(2), (P(1),) * 4).relation("R3", (0, 1, 2, 3)).lhs_coeff == 0
+
+
+class TestPinnedDelegates:
+    """`GWEngine.consistency_check` and `relation_r1/r2/r3` forward to `verify`, whose functions they name."""
+
+    def test_each_delegate_gives_what_verify_gives(self, engine):
+        surface = SurfaceModel(2)
+        line, e1, e2 = surface.line(), surface.exceptional(0), surface.exceptional(1)
+        beta = DivisorClass(4, (1, 1))
+        assert engine.consistency_check(beta) == verify.consistency_check(engine, beta)
+        for name, divisors in (("R1", (line, e1)), ("R2", (line, e1, e2)), ("R3", (line, e1, e2, line))):
+            delegate = getattr(engine, f"relation_{name.lower()}")
+            assert delegate(beta, *divisors) == verify.relation(engine, name, beta, divisors)
 
 
 class TestNBeta:
@@ -969,21 +981,21 @@ class TestRelationSolve:
 
 class TestConsistencyCheck:
     def test_plane_quartic_single_relation(self, engine):
-        report = engine.consistency_check(P(4))
+        report = verify.consistency_check(engine, P(4))
         assert report.value == 620
         assert report.consistent
         assert all(r.lhs_coeff != 0 and r.rhs == 620 * r.lhs_coeff for r in report.relations)
         assert len(report.relations) == 1
 
     def test_line_through_point_k2_full_pool(self, engine):
-        report = engine.consistency_check(DivisorClass(1, (1, 0)))
+        report = verify.consistency_check(engine, DivisorClass(1, (1, 0)))
         assert report.value == 1
         assert report.consistent
         assert report.relations  # at least one nondegenerate relation exists
 
     def test_seeded_class_with_degenerate_pool(self, engine):
         beta = DivisorClass(1, (1,))
-        report = engine.consistency_check(beta)
+        report = verify.consistency_check(engine, beta)
         assert report.value == engine.seed_value(beta) == 1
         assert report.relations == []  # every basis tuple reads 0 = 0
 
@@ -994,7 +1006,7 @@ class TestConsistencyCheck:
         # the two cold_nbeta anchors, and the only blown-down keys of delta 1 and 2,
         # solved by R3 and R2 on (L, -K); N comes from the int orbit rows,
         # the relations are summed over the ordered DivisorClass splittings
-        report = GWEngine().consistency_check(parse_class_literal(literal))
+        report = verify.consistency_check(GWEngine(), parse_class_literal(literal))
         assert report.consistent
         assert any(r.lhs_coeff for r in report.relations)
 
@@ -1004,7 +1016,7 @@ class TestConsistencyReference:
 
     @staticmethod
     def check(engine, beta, tuples):
-        report = engine.consistency_check(beta)
+        report = verify.consistency_check(engine, beta)
         assert report.consistent, (str(beta), report.disagreements()[:3])
         relations = pool_relations(engine, beta, tuples)
         for name, divisors, lhs, rhs in relations:
@@ -1040,9 +1052,9 @@ class TestConsistencyMutations:
         beta = DivisorClass(4, (1, 1))
         engine.n_beta(beta)
         engine._memo[memo_key(blown_down_form(beta))] += 1
-        report = engine.consistency_check(beta)
+        report = verify.consistency_check(engine, beta)
         assert not report.consistent
-        assert not engine.relations_hold(beta)
+        assert not verify.relations_hold(engine, beta)
         # the value enters as lhs * N, so only lhs != 0 tuples can see it
         assert all(r.lhs_coeff != 0 for r in report.disagreements())
 
@@ -1052,17 +1064,17 @@ class TestConsistencyMutations:
         engine = GWEngine()
         beta, half = DivisorClass(4, (1, 1)), DivisorClass(2, (1, 0))
         assert any(b1 == half for b1, _ in engine.splittings(beta))
-        assert engine.consistency_check(beta).consistent
-        assert engine.relations_hold(beta)
+        assert verify.consistency_check(engine, beta).consistent
+        assert verify.relations_hold(engine, beta)
         engine._memo[memo_key(blown_down_form(half))] += 1
-        assert not engine.consistency_check(beta).consistent
-        assert not engine.relations_hold(beta)
+        assert not verify.consistency_check(engine, beta).consistent
+        assert not verify.relations_hold(engine, beta)
 
     def test_lhs_zero_tuple_alone_catches_a_poisoned_splitting(self):
         engine, beta = lhs_zero_poisoned_engine()
-        report = engine.consistency_check(beta)
+        report = verify.consistency_check(engine, beta)
         assert not report.consistent
-        assert not engine.relations_hold(beta)
+        assert not verify.relations_hold(engine, beta)
         assert report.relations and all(r.lhs_coeff == 0 for r in report.relations)
         assert report.disagreements() == report.relations
 
@@ -1070,14 +1082,15 @@ class TestConsistencyMutations:
         # 0;-1,-1 (delta 1): its relations hold at N = 0, some with lhs != 0, so a wrong value
         # fails them; with a poisoned splitting only a pivot off L sees the failure
         engine, beta = GWEngine(), DivisorClass(0, (-1, -1))
-        report = engine.consistency_check(beta)
-        assert (report.value, report.consistent, engine.relations_hold(beta)) == (0, True, True)
+        report = verify.consistency_check(engine, beta)
+        assert (report.value, report.consistent, verify.relations_hold(engine, beta)) == (0, True, True)
         assert any(r.lhs_coeff for r in report.relations)
         engine._memo[memo_key(beta)] = 1
-        assert (engine.consistency_check(beta).consistent, engine.relations_hold(beta)) == (False, False)
+        assert not verify.consistency_check(engine, beta).consistent
+        assert not verify.relations_hold(engine, beta)
         engine, beta = pivot_poisoned_engine()
-        report = engine.consistency_check(beta)
-        assert (report.value, report.consistent, engine.relations_hold(beta)) == (0, False, False)
+        report = verify.consistency_check(engine, beta)
+        assert (report.value, report.consistent, verify.relations_hold(engine, beta)) == (0, False, False)
 
     def test_suite_fail_line_prints_both_sides(self, monkeypatch):
         engine, beta = lhs_zero_poisoned_engine()
@@ -1097,11 +1110,11 @@ class TestConsistencyMutations:
         engine = GWEngine()
         beta, half = DivisorClass(4, (1, 1, 1)), DivisorClass(2, (1, 0, 0))
         assert any(b1 == half for b1, _ in engine.splittings(beta))
-        assert engine.consistency_check(beta).consistent
+        assert verify.consistency_check(engine, beta).consistent
         engine._memo[memo_key(blown_down_form(half))] += 1
         surface = SurfaceModel(3)
         basis = (surface.line(), *(surface.exceptional(i) for i in range(3)))
-        evaluator = RelationEvaluator(beta, basis, engine._splitting_data(beta))
+        evaluator = RelationEvaluator(beta, basis, verify.splitting_rows(engine, beta))
         unmirrored = []
         for name, (arity, low) in RELATIONS.items():
             if evaluator.delta < low:
@@ -1113,11 +1126,11 @@ class TestConsistencyMutations:
                     assert (swapped.lhs_coeff, swapped.rhs) == (-relation.lhs_coeff, -relation.rhs)
                 if relation.lhs_coeff or relation.rhs:
                     unmirrored.append(relation)
-        report = engine.consistency_check(beta)
+        report = verify.consistency_check(engine, beta)
         assert report.relations == unmirrored
         assert report.disagreements() == [r for r in unmirrored if r.lhs_coeff * report.value != r.rhs]
         assert report.disagreements()
-        assert not engine.relations_hold(beta)
+        assert not verify.relations_hold(engine, beta)
 
 
 class TestRelationsHold:
@@ -1133,7 +1146,7 @@ class TestRelationsHold:
         classes = verify.random_classes(random.Random(0), 20, k_max=4, delta_max=10, engine=engine)
         checked = 0
         for beta in classes:
-            value, evaluator = engine._basis_evaluator(beta)
+            value, evaluator = verify._basis_evaluator(engine, beta)
             for name, (_, low) in RELATIONS.items():
                 if evaluator.delta >= low:
                     for v in (value - 1, value, value + 1):
@@ -1145,7 +1158,7 @@ class TestRelationsHold:
         # 4;1,1 (delta 9) admits every relation, and no x.beta = (4, 1, 1) is 0, so a
         # changed entry of T on any row r leaves D = value * U[r] - T[r] off the line of x.beta
         engine, beta = GWEngine(), DivisorClass(4, (1, 1))
-        value, evaluator = engine._basis_evaluator(beta)
+        value, evaluator = verify._basis_evaluator(engine, beta)
         for name in RELATIONS:
             lefts, rights = evaluator._tables(name)
             assert evaluator.holds(name, value)
@@ -1167,7 +1180,7 @@ class TestFactorisedSums:
             return every_tuple(arity, beta.k + 1)  # divisor_pool opens with L, E_1, ..., E_k
 
         expected = pool_relations(engine, beta, basis_tuples, keep_zero_lhs=True)
-        report = engine.consistency_check(beta)
+        report = verify.consistency_check(engine, beta)
         assert [(r.name, r.divisors, r.lhs_coeff, r.rhs) for r in report.relations] == expected, str(beta)
         return expected
 
@@ -1191,9 +1204,9 @@ class TestFactorisedSums:
         engine = GWEngine()
         beta, half = parse_class_literal("5;2,2,2,1,1"), DivisorClass(3, (1, 1, 1, 0, 0))
         assert any(b1 == half for b1, _ in engine.splittings(beta))
-        assert engine.consistency_check(beta).consistent  # every half's N is in the memo now
+        assert verify.consistency_check(engine, beta).consistent  # every half's N is in the memo now
         engine._memo[memo_key(blown_down_form(half))] += 1
-        assert not engine.consistency_check(beta).consistent
+        assert not verify.consistency_check(engine, beta).consistent
         assert self.same_relations(engine, beta)
 
     def test_lhs_zero_tuples_of_a_poisoned_splitting(self):
@@ -1214,8 +1227,8 @@ class TestEvaluatorRows:
     @pytest.mark.parametrize("literal", ["5;2,2,2,1,1", "7;3,2,2,2,2,2,2,2", "6;2,2,2,2,2,2,2,2"])
     def test_split_rows_give_every_basis_relation(self, literal):
         engine, beta = GWEngine(), parse_class_literal(literal)
-        basis, _ = gw._basis(beta.k)
-        rows = engine._splitting_data(beta)
+        basis, _ = verify._basis(beta.k)
+        rows = verify.splitting_rows(engine, beta)
         whole, split = RelationEvaluator(beta, basis, rows), RelationEvaluator(beta, basis, self.split(rows))
         checked = []
         for name, (arity, low) in RELATIONS.items():
@@ -1223,7 +1236,7 @@ class TestEvaluatorRows:
                 tuples = list(product(range(len(basis)), repeat=arity))
                 assert split.relations(name, tuples) == whole.relations(name, tuples), (literal, name)
                 checked += whole.relations(name, tuples)
-        assert checked == engine.consistency_check(beta).relations
+        assert checked == verify.consistency_check(engine, beta).relations
         assert any(r.lhs_coeff for r in checked)
 
     def test_split_rows_give_the_low_delta_solve(self):
@@ -1240,7 +1253,7 @@ class TestEvaluatorRows:
 
 
 def pair_splitting_data(engine, beta):
-    """Reference for `GWEngine._splitting_data`: one row ((d1, *m1), N1 N2 (beta1.beta2), delta(beta1)) per
+    """Reference for `verify.splitting_rows`: one row ((d1, *m1), N1 N2 (beta1.beta2), delta(beta1)) per
     ordered pair of `splittings(beta)`, N1 read per pair through `n_beta` and N2 where N1 != 0."""
     return [
         ((b1.d, *b1.m), n1 * engine.n_beta(b2) * intersect(b1, b2), delta(b1))
@@ -1253,7 +1266,7 @@ def full_table_relations(engine, beta):
     """(name, insertions, lhs, rhs) of R1, R2 and R3 on every basis tuple of beta, in `product` order,
     read off full tables summed row by row over `pair_splitting_data`: R1's n^2 entries, the whole
     n x n R2 matrix and all n^2 rows of R3, with each lhs written out and each binomial by `comb0`."""
-    basis, _ = gw._basis(beta.k)
+    basis, _ = verify._basis(beta.k)
     rows, n, db = pair_splitting_data(engine, beta), range(len(basis)), delta(beta)
     ab = [[intersect(x, y) for y in basis] for x in basis]
     xb = [intersect(x, beta) for x in basis]
@@ -1290,7 +1303,7 @@ class TestSymmetricTables:
         """A fresh engine that knows N of every half of the class; `poisoned` adds 1 to the memo entry
         of the half beta - E_k, which only the rows that `swap` adds reach as beta1."""
         engine, beta = GWEngine(), parse_class_literal(literal)
-        engine.consistency_check(beta)
+        verify.consistency_check(engine, beta)
         if poisoned:
             half = beta - SurfaceModel(beta.k).exceptional(beta.k - 1)
             engine._memo[blown_down_key(half.d, half.m)] += 1
@@ -1300,8 +1313,8 @@ class TestSymmetricTables:
     @pytest.mark.parametrize("literal", CLASSES)
     def test_every_basis_tuple_reads_the_full_tables(self, literal, poisoned):
         engine, beta = self.engine_for(literal, poisoned)
-        basis, _ = gw._basis(beta.k)
-        _, evaluator = engine._basis_evaluator(beta)
+        basis, _ = verify._basis(beta.k)
+        _, evaluator = verify._basis_evaluator(engine, beta)
         expected = full_table_relations(engine, beta)
         got = []
         for name, ins, _, _ in expected:
@@ -1310,7 +1323,7 @@ class TestSymmetricTables:
             got.append((name, ins, relation.lhs_coeff, relation.rhs))
         assert got == expected
         assert any(lhs for _, _, lhs, _ in expected)
-        assert engine.relations_hold(beta) == (not poisoned) == all(
+        assert verify.relations_hold(engine, beta) == (not poisoned) == all(
             lhs * engine.n_beta(beta) == rhs for _, _, lhs, rhs in expected
         )
 
@@ -1318,7 +1331,7 @@ class TestSymmetricTables:
     @pytest.mark.parametrize("literal", CLASSES)
     def test_splitting_data_is_swap_closed_and_matches_the_pairs(self, literal, poisoned):
         engine, beta = self.engine_for(literal, poisoned)
-        rows = engine._splitting_data(beta)
+        rows = verify.splitting_rows(engine, beta)
         top = delta(beta) - 1
         swapped = [((beta.d - p[0], *(mi - x for mi, x in zip(beta.m, p[1:]))), w, top - d1) for p, w, d1 in rows]
         assert Counter(swapped) == Counter(rows)
@@ -1336,7 +1349,7 @@ class TestSymmetricTables:
         monkeypatch.undo()
         assert len(keys) == 23 and max(len(m) for _, m in keys) == 8
         engine = GWEngine()
-        assert all(engine.relations_hold(DivisorClass(*key)) for key in sorted(keys))
+        assert all(verify.relations_hold(engine, DivisorClass(*key)) for key in sorted(keys))
 
     def test_a_poisoned_half_that_only_swapped_rows_reach(self):
         # 6;2^6 is N of beta - E_6 alone among the halves of 6;2,2,2,2,2,1, so only the swap of the
@@ -1344,15 +1357,15 @@ class TestSymmetricTables:
         engine, beta = self.engine_for("6;2,2,2,2,2,1", poisoned=True)
         key = blown_down_key(6, (2,) * 6)
         assert {b1.d for pair in engine.splittings(beta) for b1 in pair if blown_down_key(b1.d, b1.m) == key} == {6}
-        assert not engine.relations_hold(beta)
-        value, basis = engine.n_beta(beta), gw._basis(beta.k)[0]
+        assert not verify.relations_hold(engine, beta)
+        value, basis = engine.n_beta(beta), verify._basis(beta.k)[0]
         expected = [
             (name, tuple(basis[i] for i in ins), lhs, rhs)
             for name, ins, lhs, rhs in full_table_relations(engine, beta)
             if lhs * value != rhs
         ]
         assert expected
-        assert [tuple(r) for r in engine.consistency_check(beta).disagreements()] == expected
+        assert [tuple(r) for r in verify.consistency_check(engine, beta).disagreements()] == expected
 
 
 class TestDivisorPool:
