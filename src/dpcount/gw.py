@@ -145,8 +145,9 @@ def _base_value(d: int, m: tuple[int, ...]) -> int | None:
 
 
 def _viable_multiplicities(m: tuple[int, ...], d: int) -> list[tuple]:
-    """Orbit rows ((d1, m1), (d2, m - m1), len(_orbit(m, m1)), d1 < d2) for 1 <= d1 <= d/2, d2 = d - d1,
-    both halves of delta, genus >= 0.
+    """Orbit rows (h1, h2, size, swap, c1, c2, w, delta1) for 1 <= d1 <= d/2, d2 = d - d1: the halves
+    h1 = (d1, m1) and h2 = (d2, m - m1), both of delta, genus >= 0, the orbit size, d1 < d2, the
+    canonical halves (d, m sorted non-increasing), w = size * (beta1.beta2) and delta(beta1).
 
     One m1 per orbit of the permutations that fix m: the one whose entries
     do not increase over the positions that hold equal m_i.  Per d1 the
@@ -155,6 +156,10 @@ def _viable_multiplicities(m: tuple[int, ...], d: int) -> list[tuple]:
     lexicographic order of m1.  With S1 = sum m1_i, Q1 = sum m1_i(m1_i - 1) and Q2
     the same sum over m - m1, the conditions read
     S - 3*d2 + 1 <= S1 <= 3*d1 - 1, Q1 <= (d1-1)(d1-2) and Q2 <= (d2-1)(d2-2).
+    The walk's sums give the derived fields with no pass over the halves:
+    delta1 = 3*d1 - S1 - 1 and, as m_i(m_i - 1) = a(a - 1) + b(b - 1) + 2ab for
+    a + b = m_i, beta1.beta2 = d1*d2 - (sum m_i(m_i - 1) - Q1 - Q2) / 2.  When all
+    m_i are equal, m1 is canonical as listed and m - m1 reversed; else each is sorted.
 
     A plane class (k = 0) has one row per d1, listed directly; a class with
     some m_i < 0 or m_i > d has an empty box at every d1, and no rows.  Else
@@ -162,14 +167,18 @@ def _viable_multiplicities(m: tuple[int, ...], d: int) -> list[tuple]:
     with the same m_i and the rank of m_i there once; each d1 builds one
     tuple of bounds per position in one pass from the last position back:
     its box, and the bounds on S1 and Q1, Q2 so far that leave room for the
-    extremes of the positions after it.  `_walk` then goes depth first over
-    the positions and appends the rows at the last one.  It is a module
-    function, not a closure that refers to itself, so a call leaves no
-    reference cycle behind.
+    extremes of the positions after it; the last position's tuple ends with
+    the d1 terms of the derived fields, the others with False.  `_walk` then
+    goes depth first over the positions and appends the rows at the last
+    one.  It is a module function, not a closure that refers to itself, so a
+    call leaves no reference cycle behind.
     """
     k = len(m)
     if not k:
-        return [((d1, ()), (d - d1, ()), 1, d1 < d - d1) for d1 in range(1, d // 2 + 1)]
+        return [
+            ((d1, ()), (d - d1, ()), 1, d1 < d - d1, (d1, ()), (d - d1, ()), d1 * (d - d1), 3 * d1 - 1)
+            for d1 in range(1, d // 2 + 1)
+        ]
     rows: list[tuple] = []
     if min(m) < 0 or max(m) > d:
         return rows
@@ -180,16 +189,18 @@ def _viable_multiplicities(m: tuple[int, ...], d: int) -> list[tuple]:
         last[mi] = i
     positions.reverse()
     total = sum(m)
-    m1, run, spec = [0] * k, [0] * k, [0] * (k + 1)
+    half_q, one_block = (sum(map(mul, m, m)) - total) // 2, len(last) == 1
+    m1, run, spec = [0] * k, [0] * k, [0] * k
     for d1 in range(1, d // 2 + 1):
         d2 = d - d1
-        spec[k] = (d1, d2, m, d1 < d2)
+        leaf = (d1, d2, m, d1 < d2, d1 * d2 - half_q, 3 * d1 - 1, one_block)
         s_lo, s_hi = total - 3 * d2 + 1, 3 * d1 - 1
         q1_max, q2_max = (d1 - 1) * (d1 - 2), (d2 - 1) * (d2 - 2)
         for i, mi, prev, rank in positions:
             lo = mi - d2 if mi > d2 else 0
             hi = mi if mi < d1 else d1
-            spec[i] = (lo, hi, s_lo, s_hi, q1_max, q2_max, mi, prev, rank, i == k - 1)
+            spec[i] = (lo, hi, s_lo, s_hi, q1_max, q2_max, mi, prev, rank, leaf)
+            leaf = False
             # x(x - 1) is increasing on x >= 0, so each minimum sits at an end of the box
             s_lo, s_hi = s_lo - hi, s_hi - lo
             q1_max -= lo * (lo - 1)
@@ -204,7 +215,7 @@ def _walk(spec, m1, run, rows, i, s1, q1, q2, size) -> None:
     run[i] counts the positions up to i that hold m_i and m1[i]; the orbit
     size is a product of multinomials n! / (c_1! c_2! ...), one per value of
     m, and position i multiplies its own by rank / run, exactly."""
-    lo, hi, s_lo, s_hi, q1_max, q2_max, mi, prev, rank, last = spec[i]
+    lo, hi, s_lo, s_hi, q1_max, q2_max, mi, prev, rank, leaf = spec[i]
     if prev is None:
         top, tie = hi, -1
     else:
@@ -224,9 +235,15 @@ def _walk(spec, m1, run, rows, i, s1, q1, q2, size) -> None:
             continue
         m1[i] = a
         r = run[i] = run[prev] + 1 if a == tie else 1
-        if last:
-            d1, d2, m, swap = spec[-1]
-            rows.append(((d1, tuple(m1)), (d2, tuple(map(sub, m, m1))), size * rank // r, swap))
+        if leaf:
+            d1, d2, m, swap, dot, top1, one_block = leaf
+            n = size * rank // r
+            h1, h2 = (d1, tuple(m1)), (d2, tuple(map(sub, m, m1)))
+            if one_block:
+                c1, c2 = h1, (d2, h2[1][::-1])
+            else:
+                c1, c2 = (d1, tuple(sorted(m1, reverse=True))), (d2, tuple(sorted(h2[1], reverse=True)))
+            rows.append((h1, h2, n, swap, c1, c2, n * (dot + (p1 + p2) // 2), top1 - s1 - a))
         else:
             _walk(spec, m1, run, rows, i + 1, s1 + a, p1, p2, size * rank // r)
 
@@ -321,7 +338,8 @@ class RelationEvaluator:
                     lefts = [[-x for x in pair[a]] for a in n]
                 else:  # rows (a, d), a <= d: U[r][e] = (a.beta)(d.e) - (d.beta)(a.e), T[r][e] = F_a x2_d . x1_e
                     lefts = [[xb[a] * p - xb[d] * q for p, q in zip(pair[d], pair[a])] for a in n for d in n[a:]]
-                    factors = [list(map(mul, f, y)) for a, f in enumerate(factors) for y in x2[a:]]
+                    # a generator: each row's list F_a x2_d is summed as it is built, so one is alive at a time
+                    factors = (list(map(mul, f, y)) for a, f in enumerate(factors) for y in x2[a:])
             rights = [[sum(map(mul, f, x)) for x in columns[a if name == "R2" else 0 :]] for a, f in enumerate(factors)]
             if name == "R2":
                 rights = [[rights[e][a - e] for e in range(a)] + rights[a] for a in n]
@@ -437,7 +455,8 @@ class GWEngine:
     # ------------------------------------------------------------ splittings
 
     def _orbit_rows(self, beta: DivisorClass) -> tuple[tuple, ...]:
-        """Rows ((d1, m1), (d2, m2), orbit size, swap) of ints, one per unordered stabiliser
+        """Rows ((d1, m1), (d2, m2), orbit size, swap, c1, c2, w, delta1) of ints, as
+        `_viable_multiplicities` lists them, one per unordered stabiliser
         orbit of `splittings(beta)`, listed anew on every call for the readers of
         every orbit: `splittings`, the consistency check (`verify.splitting_rows`), and
         through `_orbit_data` the cusp boundary sum and the delta 1 and 2 solves.
@@ -460,7 +479,9 @@ class GWEngine:
         for i in (i for i in range(k) if m[i] not in m[:i]):
             m2 = (*m[:i], m[i] + 1, *m[i + 1 :])  # beta - E_i; E_i itself never vanishes
             if _base_value(d, m2) != 0:  # 0 for the zero class
-                rows.append(((0, (0,) * i + (-1,) + (0,) * (k - i - 1)), (d, m2), m.count(m[i]), True))
+                e, size = (0, (0,) * i + (-1,) + (0,) * (k - i - 1)), m.count(m[i])
+                c1, c2 = (0, (0,) * (k - 1) + (-1,)), (d, tuple(sorted(m2, reverse=True)))
+                rows.append((e, (d, m2), size, True, c1, c2, size * m2[i], 0))  # E_i.(beta - E_i) = m_i + 1
         rows += _viable_multiplicities(m, d)
         return tuple(rows)
 
@@ -471,7 +492,7 @@ class GWEngine:
         divisors that are not stabiliser invariant, as in `verify.consistency_check`."""
         pairs = [
             (DivisorClass(hd, m1), DivisorClass(beta.d - hd, tuple(map(sub, beta.m, m1))))
-            for h1, h2, _, swap in self._orbit_rows(beta)
+            for h1, h2, _, swap, *_ in self._orbit_rows(beta)
             for hd, hm in ((h1, h2) if swap else (h1,))
             for m1 in _orbit(beta.m, hm)
         ]
@@ -489,7 +510,8 @@ class GWEngine:
         `orbits` of beta, merged in one scan: each row adds w = size*N1*N2*(beta1.beta2) at its half1,
         and with `swap` at its half2 too; a row with N1 = 0 or N2 = 0 adds nothing, and N2 is not
         looked up when N1 = 0.  Every reader sees a row only through (d1, delta1), the projection
-        (L.beta1, -K.beta1 - 1), so no row is kept.
+        (L.beta1, -K.beta1 - 1), so no row is kept.  The row brings its canonical halves,
+        size*(beta1.beta2) and delta1 (`_viable_multiplicities`), so the scan derives none of them.
 
         N of a half is filed in `_half_n` once per canonical half (d, sorted m).  The task yields
         each canonical half that `_half_n` lacks and files the N it is sent, all on ints: no class
@@ -500,22 +522,22 @@ class GWEngine:
         known = self._half_n
         top = delta(beta) - 1  # delta(beta1) + delta(beta2)
         weights = {}  # (d1, delta1) -> w
-        for h1, h2, size, swap in orbits:
-            n1 = known.get(c1 := (h1[0], tuple(sorted(h1[1], reverse=True))))
+        for _, _, _, swap, c1, c2, w, delta1 in orbits:
+            n1 = known.get(c1)
             if n1 is None:
                 n1 = known[c1] = yield c1
             if not n1:
                 continue
-            n2 = known.get(c2 := (h2[0], tuple(sorted(h2[1], reverse=True))))
+            n2 = known.get(c2)
             if n2 is None:
                 n2 = known[c2] = yield c2
             if n2:
-                (d1, m1), (d2, m2) = h1, h2
-                w = size * n1 * n2 * (d1 * d2 - sum(map(mul, m1, m2)))
-                delta1 = 3 * d1 - sum(m1) - 1
-                weights[d1, delta1] = weights.get((d1, delta1), 0) + w
+                w *= n1 * n2
+                at = c1[0], delta1
+                weights[at] = weights.get(at, 0) + w
                 if swap:
-                    weights[d2, top - delta1] = weights.get((d2, top - delta1), 0) + w
+                    at = c2[0], top - delta1
+                    weights[at] = weights.get(at, 0) + w
         return weights
 
     # -------------------------------------------------------- pinned names

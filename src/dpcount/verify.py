@@ -70,20 +70,20 @@ def splitting_rows(engine: GWEngine, beta: DivisorClass) -> list[tuple]:
     """Evaluator rows ((d1, *m1), N1*N2*(beta1.beta2), delta(beta1)) over `engine.splittings(beta)`, read
     off the orbits of `engine._orbit_rows(beta)`; (d1, *m1) is the projection on L, E_1, ..., E_k.
 
-    N1, N2, w and delta1 are shared by every pair of an orbit, so each is computed once per
-    orbit, from one `DivisorClass` per half: N1 and N2 through `n_beta` (N2 only when N1 != 0),
-    so a memo entry that changed after a solve is seen.  `_orbit` expands the halves of an
+    N1, N2, w and delta1 are shared by every pair of an orbit, so each is read once per
+    orbit: N1 and N2 through `n_beta` (N2 only when N1 != 0), of one `DivisorClass` per half,
+    so a memo entry that changed after a solve is seen; beta1.beta2 and delta1 from the
+    row, which carries size * (beta1.beta2) and delta(beta1).  `_orbit` expands the halves of an
     orbit of size > 1, the swapped orbit's rows follow with `swap`, and a row of w = 0 is
     left out, as every relation is a sum over the rows; no pair is built per ordered
     splitting, and nothing is sorted.  The rows are closed under swapping the halves, which
     `RelationEvaluator` needs for R3."""
-    rows = []
-    for h1, h2, size, swap in engine._orbit_rows(beta):
+    rows, top = [], delta(beta) - 1  # delta(beta1) + delta(beta2)
+    for h1, h2, size, swap, _, _, factor, delta1 in engine._orbit_rows(beta):
         b1, b2 = DivisorClass(*h1), DivisorClass(*h2)
-        if w := (n1 := engine.n_beta(b1)) and n1 * engine.n_beta(b2) * intersect(b1, b2):
-            for b in (b1, b2)[: 1 + swap]:
-                db = delta(b)
-                rows += [((b.d, *x), w, db) for x in (_orbit(beta.m, b.m) if size > 1 else (b.m,))]
+        if w := (n1 := engine.n_beta(b1)) and n1 * engine.n_beta(b2) * factor // size:
+            for (d, m), db in ((h1, delta1), (h2, top - delta1))[: 1 + swap]:
+                rows += [((d, *x), w, db) for x in (_orbit(beta.m, m) if size > 1 else (m,))]
     return rows
 
 

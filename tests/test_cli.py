@@ -325,6 +325,10 @@ class TestUnusableCachePath:
 
 
 class TestVerifyCommand:
+    def test_suite_choices_are_the_suites(self):
+        # the parser lists the suites without importing `verify`
+        assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+
     def test_classical_suite_passes(self, capsys):
         assert main(["verify", "--suite", "classical"]) == 0
         out = capsys.readouterr().out
@@ -503,6 +507,19 @@ class TestFreshProcess:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=self.ENV)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "[]\nC=2304 first=1395 boundary=909 valid=true\n"
+
+    def test_cli_loads_no_verify_until_the_verify_command(self):
+        # the parser takes the suite names from a tuple; `verify` is imported by its command alone
+        code = (
+            f"import sys; sys.path.insert(0, {self.PACKAGE_ROOT!r}); import dpcount.cli; "
+            "print('dpcount.verify' in sys.modules); dpcount.cli.main(['nbeta', '3;']); "
+            "print('dpcount.verify' in sys.modules); dpcount.cli.main(['verify', '--suite', 'blowup']); "
+            "print('dpcount.verify' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=self.ENV)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert lines[:3] == ["False", "N=12", "False"] and lines[-1] == "True"
 
     def test_import_loads_no_verify_until_a_check(self):
         # the relation checks live in `verify`; the engine's pinned delegates import it on their first call

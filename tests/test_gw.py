@@ -262,6 +262,14 @@ class CanonicalKeyEngine(GWEngine):
             value = self.n_beta(DivisorClass(*half))
 
 
+def orbit_row(h1, h2, size, swap):
+    """A `GWEngine._orbit_rows` row of the halves h1 and h2, its derived fields recomputed from them:
+    the canonical halves by `sorted`, size * (beta1.beta2) by `intersect` and delta(beta1) by `delta`."""
+    b1, b2 = DivisorClass(*h1), DivisorClass(*h2)
+    c1, c2 = ((b.d, tuple(sorted(b.m, reverse=True))) for b in (b1, b2))
+    return h1, h2, size, swap, c1, c2, size * intersect(b1, b2), delta(b1)
+
+
 def lhs_zero_poisoned_engine():
     """An engine whose only splitting of 1;1 is E_1 + (L - 2E_1), with N(L - 2E_1) = 1.
 
@@ -272,7 +280,7 @@ def lhs_zero_poisoned_engine():
     """
     engine = GWEngine()
     beta, e1, bad = DivisorClass(1, (1,)), SurfaceModel(1).exceptional(0), DivisorClass(1, (2,))
-    rows = (((e1.d, e1.m), (bad.d, bad.m), 1, True),)
+    rows = (orbit_row((e1.d, e1.m), (bad.d, bad.m), 1, True),)
     engine._orbit_rows = lambda b: rows if b == beta else GWEngine._orbit_rows(engine, b)
     engine._memo[memo_key(bad)] = 1
     return engine, beta
@@ -287,7 +295,7 @@ def pivot_poisoned_engine():
     the relations on the E_i fail."""
     engine = GWEngine()
     beta = DivisorClass(0, (-1, -1))
-    rows = (((0, (-2, 1)), (0, (1, -2)), 1, False),)
+    rows = (orbit_row((0, (-2, 1)), (0, (1, -2)), 1, False),)
     engine._orbit_rows = lambda b: rows if b == beta else GWEngine._orbit_rows(engine, b)
     for half in rows[0][:2]:
         engine._memo[blown_down_key(*half)] = 1
@@ -431,16 +439,20 @@ class TestSplittings:
 
 
 class TestSplittingOrbits:
-    """`GWEngine._orbit_rows`: one row ((d1, m1), (d2, m2), size, swap) of ints per stabiliser orbit."""
+    """`GWEngine._orbit_rows`: one row ((d1, m1), (d2, m2), size, swap, c1, c2, w, delta1) of ints per
+    stabiliser orbit."""
 
     def test_plane_quartic(self, engine):
-        # (3L, L) is the swap of (L, 3L); (2L, 2L) is its own
-        assert engine._orbit_rows(P(4)) == (((1, ()), (3, ()), 1, True), ((2, ()), (2, ()), 1, False))
+        # (3L, L) is the swap of (L, 3L); (2L, 2L) is its own; L.3L = 3, delta(L) = 2, 2L.2L = 4, delta(2L) = 5
+        assert engine._orbit_rows(P(4)) == (
+            ((1, ()), (3, ()), 1, True, (1, ()), (3, ()), 3, 2),
+            ((2, ()), (2, ()), 1, False, (2, ()), (2, ()), 4, 5),
+        )
 
     def test_weights_are_block_multinomials(self, engine):
         # the E_i halves of 3L - E1 - ... - E4 form one orbit of size 4
         beta = DivisorClass(3, (1, 1, 1, 1))
-        orbits = {h1: size for h1, _, size, _ in engine._orbit_rows(beta)}
+        orbits = {h1: size for h1, _, size, *_ in engine._orbit_rows(beta)}
         assert orbits[(0, (-1, 0, 0, 0))] == 4
         assert orbits[(1, (1, 1, 0, 0))] == 6
 
@@ -456,7 +468,7 @@ class TestSplittingOrbits:
             pairs = engine.splittings(beta)
             int_pairs = [((b1.d, b1.m), (b2.d, b2.m)) for b1, b2 in pairs]
             expanded = Counter()
-            for h1, h2, size, swap in engine._orbit_rows(beta):
+            for h1, h2, size, swap, *_ in engine._orbit_rows(beta):
                 assert (h1, h2) in int_pairs and (not swap or (h2, h1) in int_pairs), beta
                 for half in (h1, h2) if swap else (h1,):
                     members = _orbit(beta.m, half[1])
@@ -477,8 +489,30 @@ class TestSplittingOrbits:
         classes |= {canonical_form(b) for b in classes}
         classes |= {DivisorClass(b.d, b.m[::-1]) for b in large_classes()}
         for beta in classes:
-            for h1, _, size, _ in engine._orbit_rows(beta):
+            for h1, _, size, *_ in engine._orbit_rows(beta):
                 assert size == len(_orbit(beta.m, h1[1])), (str(beta), h1)
+
+    def test_derived_fields_match_the_positional_halves(self, engine):
+        # the walk derives the canonical halves, size * (beta1.beta2) and delta(beta1) from its
+        # running sums, and `_orbit_rows` those of the E_i rows from m; each row is recomputed
+        # here from its positional halves, on every reduced key with k <= 8 and d <= 9 (plane,
+        # one-block, two- and three-block keys) and on its reverse, whose blocks the walk meets
+        # in increasing order
+        keys = [
+            (d, m)
+            for k in range(9)
+            for d in range(10)
+            for m in combinations_with_replacement(range(d, -1, -1), k)
+            if blown_down_key(d, m) == (d, m)
+        ]
+        assert {len(set(m)) for _, m in keys} == {0, 1, 2, 3}
+        rows = 0
+        for d, m in keys:
+            for beta in {DivisorClass(d, m), DivisorClass(d, m[::-1])}:
+                for row in engine._orbit_rows(beta):
+                    assert row == orbit_row(*row[:4]), str(beta)
+                    rows += 1
+        assert rows > 10000
 
     def test_delta_zero_viable_halves_are_seeds(self):
         # why _orbit_rows skips the delta = 0 seed test on the halves of
@@ -540,7 +574,7 @@ class TestR1Insertions:
             surface = SurfaceModel(beta.k)
             line, mk = surface.line(), surface.anticanonical()
             rows = []  # (half, size * N1 * N2 * (beta1.beta2)), a swapped orbit a row of its own
-            for (d1, m1), (d2, m2), size, swap in _viable_multiplicities(beta.m, beta.d):
+            for (d1, m1), (d2, m2), size, swap, *_ in _viable_multiplicities(beta.m, beta.d):
                 b1, b2 = DivisorClass(d1, m1), DivisorClass(d2, m2)
                 if w := size * engine.n_beta(b1) * engine.n_beta(b2) * intersect(b1, b2):
                     rows.extend((half, w) for half in ((b1, b2) if swap else (b1,)))
